@@ -20,6 +20,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release
+    echo "==> bench binaries the smokes below run (cargo build --release -p cfd-bench)"
+    cargo build --release -p cfd-bench
 fi
 
 echo "==> tier-1: cargo test -q"
@@ -74,13 +76,13 @@ if [[ "${1:-}" != "quick" ]]; then
 fi
 
 if [[ "${1:-}" != "quick" ]]; then
-    echo "==> pipeline smoke: ring vs channel transport + multi-lane hash (quick scale)"
+    echo "==> pipeline smoke: ring pipeline vs sequential reference + multi-lane hash (quick scale)"
     # Quick scale writes its own file; the committed full-scale
     # BENCH_pr4.json is regenerated only by a manual full run.
     ./target/release/throughput --pipeline --quick --out target/BENCH_pipeline_quick.json \
         >/tmp/cfd_pipeline.txt
     tail -n 4 /tmp/cfd_pipeline.txt | sed 's/^/   /'
-    echo "==> BENCH pipeline json schema + speedup gates (full scale only)"
+    echo "==> BENCH pipeline json schema + hash-speedup / ring-floor gates (full scale only)"
     python3 tools/check_bench.py target/BENCH_pipeline_quick.json BENCH_pr4.json
 fi
 
@@ -148,6 +150,15 @@ if [[ "${1:-}" != "quick" ]]; then
 fi
 
 if [[ "${1:-}" != "quick" ]]; then
+    echo "==> cfd rejects options a command does not take, by name"
+    if ./target/release/cfd run --transport channel --count 1000 2>/tmp/cfd_unknown_err.txt >/dev/null; then
+        echo "FAIL: cfd run accepted the removed --transport option"; exit 1
+    fi
+    grep -q -- '--transport' /tmp/cfd_unknown_err.txt
+    echo "   rejected with: $(head -n 1 /tmp/cfd_unknown_err.txt)"
+fi
+
+if [[ "${1:-}" != "quick" ]]; then
     echo "==> serve smoke: socket replay, kill -9 mid-stream, checkpoint resume"
     rm -f /tmp/cfd_serve.sock /tmp/cfd_serve.cfdg /tmp/cfd_serve_run.json /tmp/cfd_serve.json
     ./target/release/cfd generate --kind botnet --count 200000 --seed 11 \
@@ -175,5 +186,9 @@ if [[ "${1:-}" != "quick" ]]; then
     cmp /tmp/cfd_serve_run.json /tmp/cfd_serve.json
     echo "   kill -9 + --resume replay matches the in-process run byte for byte"
 fi
+
+echo "==> benchmark harness: perfbench builds and self-tests against the workspace"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

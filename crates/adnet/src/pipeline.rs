@@ -11,45 +11,37 @@
 //! (caller)           └► shard worker S  ┘    (seq order)
 //! ```
 //!
-//! Two interchangeable [`Transport`]s move batches between stages, with
-//! verdict-for-verdict identical results:
-//!
-//! * [`Transport::Ring`] (the default): bounded SPSC [`crate::ring`]s
-//!   carry *pooled* batch buffers that cycle ingest → worker → billing
-//!   → back to a [`crate::ring::Pool`], so the steady-state hot loop
-//!   performs **zero heap allocations** (asserted by the
-//!   `zero_alloc_steady_state` integration test) and never takes a
-//!   blocking lock. Click keys travel in one flat buffer per batch,
-//!   feeding the multi-lane batch hasher (`cfd_hash::lanes`) at both
-//!   the routing and probing stages.
-//! * [`Transport::Channel`]: bounded `crossbeam` channels, one fresh
-//!   batch allocation per send — the pre-ring data plane, kept as the
-//!   baseline the `throughput --pipeline` bench gates against.
+//! Bounded SPSC [`crate::ring`]s move batches between stages. They
+//! carry *pooled* batch buffers that cycle ingest → worker → billing →
+//! back to a [`crate::ring::Pool`], so the steady-state hot loop
+//! performs **zero heap allocations** (asserted by the
+//! `zero_alloc_steady_state` integration test) and never takes a
+//! blocking lock. Click keys travel in one flat buffer per batch,
+//! feeding the multi-lane batch hasher (`cfd_hash::lanes`) at both the
+//! routing and probing stages.
 //!
 //! * **Ingest** (the caller's thread) stamps every click with a global
 //!   sequence number, routes it by [`ShardRouter`] — batch-hashing all
-//!   keys of a staging block per [`ShardRouter::route_flat_into`] on
-//!   the ring path — and forwards clicks to the owning worker in
-//!   batches (amortizing transport traffic).
+//!   keys of a staging block per [`ShardRouter::route_flat_into`] — and
+//!   forwards clicks to the owning worker in batches.
 //! * **Shard workers** each own one inner detector exclusively — the
 //!   one-pass algorithms are inherently sequential *per keyspace shard*,
 //!   which is exactly why Theorems 1 & 2 obsess over per-element cost —
 //!   and judge whole batches via
-//!   [`DuplicateDetector::observe_batch`] (hash-then-apply locality),
-//!   or its allocation-free cousin
-//!   [`DuplicateDetector::observe_flat_into`] on the ring path.
-//!   Each worker keeps a private [`FraudScorer`]; the partial scorers
-//!   are [merged](FraudScorer::merge) at join time.
+//!   [`DuplicateDetector::observe_flat_into`] (hash-then-apply
+//!   locality). Each worker keeps a private [`FraudScorer`]; the
+//!   partial scorers are [merged](FraudScorer::merge) at join time.
 //! * **Resequencer + billing** restores global stream order from the
 //!   sequence numbers (a min-heap keyed by sequence) before settling
 //!   verdicts through [`BillingEngine::process_judged`], so budget
 //!   accounting is byte-identical to a sequential run no matter how the
 //!   workers interleave.
 //!
-//! The single-detector [`run_pipeline`] is the one-shard special case of
-//! the same machinery. Progress is published through lock-free
-//! [`PipelineProgress`] atomics rather than a mutex, so polling from a
-//! gauge thread never stalls the hot path.
+//! Every entry point takes a [`ShardedDetector`]; a single detector runs
+//! as its one-shard composition (one worker, trivial router). Progress
+//! is published through lock-free [`PipelineProgress`] atomics rather
+//! than a mutex, so polling from a gauge thread never stalls the hot
+//! path.
 //!
 //! Like its predecessor, the detector stage judges *every* click,
 //! including clicks on unregistered ads (billing later files those under
@@ -59,14 +51,13 @@
 //!
 //! ## Timed mode
 //!
-//! [`run_timed_pipeline`] / [`run_timed_sharded_pipeline`] run the same
-//! machinery over time-based detectors ([`TimedDuplicateDetector`]):
-//! the worker stage extracts each click's [`Click::tick`] alongside its
-//! key and judges batches through `observe_batch_at` /
-//! `observe_flat_at_into` instead of the count-based paths. Routing is
-//! tick-blind (by key only), so each shard receives its clicks in
-//! global stream order and advances its unit clock exactly as a
-//! sequential run of the same [`ShardedDetector`] would.
+//! [`run_timed_sharded_pipeline`] runs the same machinery over
+//! time-based detectors ([`TimedDuplicateDetector`]): the worker stage
+//! extracts each click's [`Click::tick`] alongside its key and judges
+//! batches through `observe_flat_at_into` instead of the count-based
+//! path. Routing is tick-blind (by key only), so each shard receives its
+//! clicks in global stream order and advances its unit clock exactly as
+//! a sequential run of the same [`ShardedDetector`] would.
 
 use crate::billing::{BillingEngine, ClickOutcome, Ledger};
 use crate::entities::Registry;
@@ -78,7 +69,6 @@ use cfd_core::sharded::{ShardRouter, ShardedDetector};
 use cfd_stream::Click;
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
 use cfd_windows::{DuplicateDetector, TimedDuplicateDetector, Verdict};
-use crossbeam::channel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,13 +89,7 @@ struct JudgedClick {
     verdict: Verdict,
 }
 
-/// A batch of sequence-stamped clicks bound for one shard worker over
-/// the channel transport.
-struct RawBatch {
-    items: Vec<(u64, Click)>,
-}
-
-/// A pooled batch of sequence-stamped clicks for the ring transport.
+/// A pooled batch of sequence-stamped clicks bound for one shard worker.
 ///
 /// The 16-byte click keys ride along in one flat buffer (`KEY_LEN`
 /// bytes per item, same order as `items`) so ingest hashes each key
@@ -124,7 +108,7 @@ impl ClickBatch {
     }
 }
 
-/// A judged batch headed for the resequencer. Pooled on the ring path.
+/// A pooled judged batch headed for the resequencer.
 #[derive(Default)]
 struct JudgedBatch {
     items: Vec<(u64, JudgedClick)>,
@@ -184,32 +168,15 @@ impl PipelineProgress {
     }
 }
 
-/// Inter-stage transport of the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Bounded `crossbeam` channels: mutex + condvar wakeups and one
-    /// fresh batch allocation per send. The pre-ring data plane, kept
-    /// as the benchmark baseline.
-    Channel,
-    /// Bounded SPSC rings with pooled, recycled batch buffers: no
-    /// blocking locks and no steady-state heap allocation on the hot
-    /// path.
-    #[default]
-    Ring,
-}
-
 /// Tuning knobs of the sharded pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     /// Clicks per inter-stage batch (larger batches amortize transport
     /// overhead; smaller ones bound resequencer latency).
     pub batch: usize,
-    /// Bounded queue capacity per worker, in batches (backpressure).
-    /// On the ring transport this is the ring capacity, rounded up to
-    /// a power of two.
+    /// Per-worker ring capacity, in batches (backpressure), rounded up
+    /// to a power of two.
     pub queue: usize,
-    /// How batches move between stages (rings by default).
-    pub transport: Transport,
     /// Best-effort pin of shard worker `i` to CPU `i` (modulo the
     /// available parallelism) via `taskset`; ignored where unsupported.
     pub pin_workers: bool,
@@ -220,7 +187,6 @@ impl Default for PipelineConfig {
         Self {
             batch: DEFAULT_BATCH,
             queue: 16,
-            transport: Transport::default(),
             pin_workers: false,
         }
     }
@@ -237,32 +203,37 @@ pub struct PipelineOutcome {
     pub registry: Registry,
     /// Final per-shard detector health samples, taken by each worker at
     /// shutdown. Empty for the uninstrumented entry points (plain
-    /// [`run_pipeline`] / [`run_sharded_pipeline`]), which place no
-    /// [`DetectorStats`] bound on the detector.
+    /// [`run_sharded_pipeline`] / [`run_timed_sharded_pipeline`]), which
+    /// place no [`DetectorStats`] bound on the detector.
     pub health: Vec<DetectorHealth>,
 }
 
-/// Billing state a fan-out run starts from. Fresh (default) for the
-/// one-shot entry points; carried forward between checkpoint-delimited
-/// segments by [`run_sharded_segment`].
-#[derive(Default)]
-struct FanoutSeed {
-    registry: Registry,
-    ledger: Ledger,
-    savings: u64,
-}
-
-/// Everything a fan-out run hands back: the final report inputs *plus*
-/// the detectors themselves, so a segmented caller can reassemble the
+/// Everything a fan-out run hands back: the billing state *plus* the
+/// detectors themselves, so a segmented caller can reassemble the
 /// [`ShardedDetector`] and keep streaming where this run stopped.
 struct FanoutResult<D> {
     workers: Vec<D>,
-    scorer: FraudScorer,
+    state: SegmentState,
     memory_bits: usize,
     health: Vec<DetectorHealth>,
-    ledger: Ledger,
-    savings: u64,
-    registry: Registry,
+}
+
+impl<D> FanoutResult<D> {
+    /// The outcome of a one-shot run of detector `name`.
+    fn into_outcome(self, name: &str) -> PipelineOutcome {
+        let SegmentState {
+            registry,
+            ledger,
+            savings_micros,
+            scorer,
+        } = self.state;
+        PipelineOutcome {
+            report: NetworkReport::from_ledger(name, self.memory_bits, &ledger, savings_micros),
+            scorer,
+            registry,
+            health: self.health,
+        }
+    }
 }
 
 /// Cross-segment pipeline state for [`run_sharded_segment`]: what must
@@ -358,47 +329,20 @@ where
     let name = DuplicateDetector::name(&detector);
     let router_seed = detector.router_seed();
     let router = detector.router();
-    let workers = detector.into_shards();
-    if let Some(t) = &telemetry {
-        assert_eq!(
-            t.shard_count(),
-            workers.len(),
-            "telemetry bundle sized for a different shard count"
-        );
-    }
-    let instr = match telemetry {
-        Some(t) => Instrumentation {
-            telemetry: Some(t),
-            health_of: |d: &D| Some(d.health()),
-            tenant_health_of: |d: &D| d.tenant_health(),
-        },
-        None => Instrumentation::off(),
-    };
-    let seed = FanoutSeed {
-        registry: state.registry,
-        ledger: state.ledger,
-        savings: state.savings_micros,
-    };
-    let r = match config.transport {
-        Transport::Channel => {
-            run_fanout_channels(workers, Some(router), seed, clicks, config, progress, instr)
-        }
-        Transport::Ring => {
-            run_fanout_rings(workers, Some(router), seed, clicks, config, progress, instr)
-        }
-    };
-    let mut scorer = state.scorer;
-    scorer.merge(r.scorer);
-    let detector = ShardedDetector::new(router_seed, r.workers)
-        .expect("shards returned by the fan-out reassemble");
+    let instr = telemetry.map_or_else(Instrumentation::off, Instrumentation::stats);
+    let r = run_fanout(
+        detector.into_shards(),
+        router,
+        state,
+        clicks,
+        config,
+        progress,
+        instr,
+    );
     SegmentOutcome {
-        detector,
-        state: SegmentState {
-            registry: r.registry,
-            ledger: r.ledger,
-            savings_micros: r.savings,
-            scorer,
-        },
+        detector: ShardedDetector::new(router_seed, r.workers)
+            .expect("shards returned by the fan-out reassemble"),
+        state: r.state,
         health: r.health,
         memory_bits: r.memory_bits,
         name,
@@ -426,22 +370,40 @@ impl<D> Instrumentation<D> {
     }
 }
 
+impl<D: DetectorStats> Instrumentation<D> {
+    /// Full instrumentation of count-based shards.
+    fn stats(telemetry: Arc<PipelineTelemetry>) -> Self {
+        Self {
+            telemetry: Some(telemetry),
+            health_of: |d| Some(d.health()),
+            tenant_health_of: |d| d.tenant_health(),
+        }
+    }
+}
+
+impl<D: DetectorStats> Instrumentation<TimedJudge<D>> {
+    /// Full instrumentation of time-based shards.
+    fn timed_stats(telemetry: Arc<PipelineTelemetry>) -> Self {
+        Self {
+            telemetry: Some(telemetry),
+            health_of: |j| Some(j.inner.health()),
+            tenant_health_of: |j| j.inner.tenant_health(),
+        }
+    }
+}
+
 /// Saturating nanosecond count for histogram recording.
 fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What a shard worker needs from its detector: batch judgment at the
-/// two call sites (slice keys on the channel path, flat keys on the
-/// ring path) plus the memory tally for the report. Count-based
-/// detectors get it for free via the blanket impl; time-based detectors
-/// ride in a [`TimedJudge`], which threads each click's tick through.
-/// Keeping this private lets one fan-out engine serve both modes
-/// without a public trait surface.
+/// What a shard worker needs from its detector: batch judgment of the
+/// flat keys built at ingest, plus the memory tally for the report.
+/// Count-based detectors get it for free via the blanket impl;
+/// time-based detectors ride in a [`TimedJudge`], which threads each
+/// click's tick through. Keeping this private lets one fan-out engine
+/// serve both modes without a public trait surface.
 trait BatchJudge {
-    /// Judges pre-built slice keys, one per item of `items` in order.
-    fn judge_refs(&mut self, refs: &[&[u8]], items: &[(u64, Click)]) -> Vec<Verdict>;
-
     /// Judges `KEY_LEN`-stride flat keys built at ingest, writing
     /// verdicts into `out` (cleared first, capacity reused).
     fn judge_flat(&mut self, keys: &[u8], items: &[(u64, Click)], out: &mut Vec<Verdict>);
@@ -451,9 +413,6 @@ trait BatchJudge {
 }
 
 impl<D: DuplicateDetector> BatchJudge for D {
-    fn judge_refs(&mut self, refs: &[&[u8]], _items: &[(u64, Click)]) -> Vec<Verdict> {
-        self.observe_batch(refs)
-    }
     fn judge_flat(&mut self, keys: &[u8], _items: &[(u64, Click)], out: &mut Vec<Verdict>) {
         self.observe_flat_into(keys, KEY_LEN, out);
     }
@@ -464,7 +423,7 @@ impl<D: DuplicateDetector> BatchJudge for D {
 
 /// Adapter running a [`TimedDuplicateDetector`] behind [`BatchJudge`]:
 /// extracts each click's [`Click::tick`] into a recycled buffer and
-/// forwards to the timed batch paths. Deliberately *not* a
+/// forwards to the timed batch path. Deliberately *not* a
 /// `DuplicateDetector` (ticks are mandatory), which is also what keeps
 /// the blanket impl above coherent.
 struct TimedJudge<D> {
@@ -482,11 +441,6 @@ impl<D> TimedJudge<D> {
 }
 
 impl<D: TimedDuplicateDetector> BatchJudge for TimedJudge<D> {
-    fn judge_refs(&mut self, refs: &[&[u8]], items: &[(u64, Click)]) -> Vec<Verdict> {
-        self.ticks.clear();
-        self.ticks.extend(items.iter().map(|(_, c)| c.tick));
-        self.inner.observe_batch_at(refs, &self.ticks)
-    }
     fn judge_flat(&mut self, keys: &[u8], items: &[(u64, Click)], out: &mut Vec<Verdict>) {
         self.ticks.clear();
         self.ticks.extend(items.iter().map(|(_, c)| c.tick));
@@ -496,102 +450,6 @@ impl<D: TimedDuplicateDetector> BatchJudge for TimedJudge<D> {
     fn memory_bits(&self) -> usize {
         self.inner.memory_bits()
     }
-}
-
-/// Runs `clicks` through a single-detector stage and a billing stage on
-/// separate threads, with bounded channels (roughly `queue` in-flight
-/// clicks) between stages.
-///
-/// This is the one-shard special case of [`run_sharded_pipeline`];
-/// clicks are judged in batches through
-/// [`DuplicateDetector::observe_batch`], verdict-for-verdict identical
-/// to per-click observation.
-///
-/// `progress` (optional) is updated continuously and can be polled from
-/// other threads.
-///
-/// # Panics
-///
-/// Panics if a pipeline stage panics.
-pub fn run_pipeline<D, I>(
-    detector: D,
-    registry: Registry,
-    clicks: I,
-    queue: usize,
-    progress: Option<Arc<PipelineProgress>>,
-) -> PipelineOutcome
-where
-    D: DuplicateDetector + Send,
-    I: IntoIterator<Item = Click>,
-{
-    let queue = queue.max(1);
-    let batch = queue.min(DEFAULT_BATCH);
-    let name = detector.name();
-    let cfg = PipelineConfig {
-        batch,
-        queue: queue.div_ceil(batch),
-        ..PipelineConfig::default()
-    };
-    run_fanout(
-        vec![detector],
-        None,
-        name,
-        registry,
-        clicks,
-        cfg,
-        progress,
-        Instrumentation::off(),
-    )
-}
-
-/// [`run_pipeline`] with live telemetry: per-stage latency histograms,
-/// queue-depth gauges, and on-request detector health flow into
-/// `telemetry`'s registry while the run is in flight, and
-/// [`PipelineOutcome::health`] carries the final detector sample.
-///
-/// # Panics
-///
-/// Panics if `telemetry` was not built for exactly one shard, or if a
-/// pipeline stage panics.
-pub fn run_pipeline_instrumented<D, I>(
-    detector: D,
-    registry: Registry,
-    clicks: I,
-    queue: usize,
-    progress: Option<Arc<PipelineProgress>>,
-    telemetry: Arc<PipelineTelemetry>,
-) -> PipelineOutcome
-where
-    D: DuplicateDetector + DetectorStats + Send,
-    I: IntoIterator<Item = Click>,
-{
-    assert_eq!(
-        telemetry.shard_count(),
-        1,
-        "single-detector pipeline needs a 1-shard telemetry bundle"
-    );
-    let queue = queue.max(1);
-    let batch = queue.min(DEFAULT_BATCH);
-    let name = detector.name();
-    let cfg = PipelineConfig {
-        batch,
-        queue: queue.div_ceil(batch),
-        ..PipelineConfig::default()
-    };
-    run_fanout(
-        vec![detector],
-        None,
-        name,
-        registry,
-        clicks,
-        cfg,
-        progress,
-        Instrumentation {
-            telemetry: Some(telemetry),
-            health_of: |d| Some(d.health()),
-            tenant_health_of: |d| d.tenant_health(),
-        },
-    )
 }
 
 /// Runs `clicks` through one detector worker thread *per shard* of
@@ -618,17 +476,16 @@ where
 {
     let name = detector.name();
     let router = detector.router();
-    let workers = detector.into_shards();
     run_fanout(
-        workers,
-        Some(router),
-        name,
-        registry,
+        detector.into_shards(),
+        router,
+        SegmentState::new(registry),
         clicks,
         config,
         progress,
         Instrumentation::off(),
     )
+    .into_outcome(name)
 }
 
 /// [`run_sharded_pipeline`] with live telemetry: one queue-depth gauge
@@ -653,116 +510,18 @@ where
     D: DuplicateDetector + DetectorStats + Send,
     I: IntoIterator<Item = Click>,
 {
-    assert_eq!(
-        telemetry.shard_count(),
-        detector.shards().len(),
-        "telemetry bundle sized for a different shard count"
-    );
     let name = detector.name();
     let router = detector.router();
-    let workers = detector.into_shards();
     run_fanout(
-        workers,
-        Some(router),
-        name,
-        registry,
+        detector.into_shards(),
+        router,
+        SegmentState::new(registry),
         clicks,
         config,
         progress,
-        Instrumentation {
-            telemetry: Some(telemetry),
-            health_of: |d| Some(d.health()),
-            tenant_health_of: |d| d.tenant_health(),
-        },
+        Instrumentation::stats(telemetry),
     )
-}
-
-/// [`run_pipeline`] over a time-based detector: clicks are judged at
-/// their own [`Click::tick`] through
-/// [`TimedDuplicateDetector::observe_batch_at`] (or the flat-key path
-/// on the ring transport), verdict-for-verdict identical to sequential
-/// `observe_at` calls in stream order.
-///
-/// # Panics
-///
-/// Panics if a pipeline stage panics.
-pub fn run_timed_pipeline<D, I>(
-    detector: D,
-    registry: Registry,
-    clicks: I,
-    queue: usize,
-    progress: Option<Arc<PipelineProgress>>,
-) -> PipelineOutcome
-where
-    D: TimedDuplicateDetector + Send,
-    I: IntoIterator<Item = Click>,
-{
-    let queue = queue.max(1);
-    let batch = queue.min(DEFAULT_BATCH);
-    let name = detector.name();
-    let cfg = PipelineConfig {
-        batch,
-        queue: queue.div_ceil(batch),
-        ..PipelineConfig::default()
-    };
-    run_fanout(
-        vec![TimedJudge::new(detector)],
-        None,
-        name,
-        registry,
-        clicks,
-        cfg,
-        progress,
-        Instrumentation::off(),
-    )
-}
-
-/// [`run_timed_pipeline`] with live telemetry; see
-/// [`run_pipeline_instrumented`] for what flows into `telemetry`.
-///
-/// # Panics
-///
-/// Panics if `telemetry` was not built for exactly one shard, or if a
-/// pipeline stage panics.
-pub fn run_timed_pipeline_instrumented<D, I>(
-    detector: D,
-    registry: Registry,
-    clicks: I,
-    queue: usize,
-    progress: Option<Arc<PipelineProgress>>,
-    telemetry: Arc<PipelineTelemetry>,
-) -> PipelineOutcome
-where
-    D: TimedDuplicateDetector + DetectorStats + Send,
-    I: IntoIterator<Item = Click>,
-{
-    assert_eq!(
-        telemetry.shard_count(),
-        1,
-        "single-detector pipeline needs a 1-shard telemetry bundle"
-    );
-    let queue = queue.max(1);
-    let batch = queue.min(DEFAULT_BATCH);
-    let name = detector.name();
-    let cfg = PipelineConfig {
-        batch,
-        queue: queue.div_ceil(batch),
-        ..PipelineConfig::default()
-    };
-    run_fanout(
-        vec![TimedJudge::new(detector)],
-        None,
-        name,
-        registry,
-        clicks,
-        cfg,
-        progress,
-        Instrumentation {
-            telemetry: Some(telemetry),
-            health_of: |j| Some(j.inner.health()),
-            tenant_health_of: |j| j.inner.tenant_health(),
-        },
-    )
+    .into_outcome(name)
 }
 
 /// [`run_sharded_pipeline`] over time-based shards: one worker thread
@@ -788,17 +547,20 @@ where
 {
     let name = TimedDuplicateDetector::name(&detector);
     let router = detector.router();
-    let workers = detector.into_shards().into_iter().map(TimedJudge::new);
     run_fanout(
-        workers.collect(),
-        Some(router),
-        name,
-        registry,
+        detector
+            .into_shards()
+            .into_iter()
+            .map(TimedJudge::new)
+            .collect(),
+        router,
+        SegmentState::new(registry),
         clicks,
         config,
         progress,
         Instrumentation::off(),
     )
+    .into_outcome(name)
 }
 
 /// [`run_timed_sharded_pipeline`] with live telemetry; see
@@ -821,28 +583,22 @@ where
     D: TimedDuplicateDetector + DetectorStats + Send,
     I: IntoIterator<Item = Click>,
 {
-    assert_eq!(
-        telemetry.shard_count(),
-        detector.shards().len(),
-        "telemetry bundle sized for a different shard count"
-    );
     let name = TimedDuplicateDetector::name(&detector);
     let router = detector.router();
-    let workers = detector.into_shards().into_iter().map(TimedJudge::new);
     run_fanout(
-        workers.collect(),
-        Some(router),
-        name,
-        registry,
+        detector
+            .into_shards()
+            .into_iter()
+            .map(TimedJudge::new)
+            .collect(),
+        router,
+        SegmentState::new(registry),
         clicks,
         config,
         progress,
-        Instrumentation {
-            telemetry: Some(telemetry),
-            health_of: |j| Some(j.inner.health()),
-            tenant_health_of: |j| j.inner.tenant_health(),
-        },
+        Instrumentation::timed_stats(telemetry),
     )
+    .into_outcome(name)
 }
 
 /// Settles one judged click against the ledger, tallying fraud savings.
@@ -889,301 +645,10 @@ fn pin_current_thread(_cpu: usize) -> bool {
     false
 }
 
-/// The shared fan-out engine behind all public entry points: validates
-/// the topology, then dispatches on [`PipelineConfig::transport`].
-#[allow(clippy::too_many_arguments)]
-fn run_fanout<D, I>(
-    workers: Vec<D>,
-    router: Option<ShardRouter>,
-    name: &'static str,
-    registry: Registry,
-    clicks: I,
-    config: PipelineConfig,
-    progress: Option<Arc<PipelineProgress>>,
-    instr: Instrumentation<D>,
-) -> PipelineOutcome
-where
-    D: BatchJudge + Send,
-    I: IntoIterator<Item = Click>,
-{
-    assert!(!workers.is_empty(), "pipeline needs at least one detector");
-    if let Some(t) = &instr.telemetry {
-        assert_eq!(
-            t.shard_count(),
-            workers.len(),
-            "telemetry bundle sized for a different shard count"
-        );
-    }
-    let seed = FanoutSeed {
-        registry,
-        ..FanoutSeed::default()
-    };
-    let r = match config.transport {
-        Transport::Channel => {
-            run_fanout_channels(workers, router, seed, clicks, config, progress, instr)
-        }
-        Transport::Ring => run_fanout_rings(workers, router, seed, clicks, config, progress, instr),
-    };
-    PipelineOutcome {
-        report: NetworkReport::from_ledger(name, r.memory_bits, &r.ledger, r.savings),
-        scorer: r.scorer,
-        registry: r.registry,
-        health: r.health,
-    }
-}
-
-/// The channel-transport fan-out: bounded `crossbeam` channels between
-/// stages, one fresh batch allocation per send.
-///
-/// `router: None` sends everything to the single worker (no routing
-/// hash on the ingest path). When `instr` carries a telemetry bundle,
-/// every stage times itself per batch; with `telemetry: None` the only
-/// residue is a handful of `Option` branches per batch.
-#[allow(clippy::too_many_arguments)]
-fn run_fanout_channels<D, I>(
-    workers: Vec<D>,
-    router: Option<ShardRouter>,
-    seed: FanoutSeed,
-    clicks: I,
-    config: PipelineConfig,
-    progress: Option<Arc<PipelineProgress>>,
-    instr: Instrumentation<D>,
-) -> FanoutResult<D>
-where
-    D: BatchJudge + Send,
-    I: IntoIterator<Item = Click>,
-{
-    let batch = config.batch.max(1);
-    let queue = config.queue.max(1);
-    let shard_count = workers.len();
-    let FanoutSeed {
-        registry,
-        ledger: seed_ledger,
-        savings: seed_savings,
-    } = seed;
-
-    thread::scope(|s| {
-        // Workers fan in to one judged channel; capacity scales with the
-        // worker count so a fast shard cannot starve the others.
-        let (tx_judged, rx_judged) = channel::bounded::<JudgedBatch>(queue * shard_count);
-
-        // Shard workers: exclusive detector ownership, private scorer.
-        let mut raw_txs = Vec::with_capacity(shard_count);
-        let mut handles = Vec::with_capacity(shard_count);
-        for (idx, mut detector) in workers.into_iter().enumerate() {
-            let (tx_raw, rx_raw) = channel::bounded::<RawBatch>(queue);
-            raw_txs.push(tx_raw);
-            let tx_judged = tx_judged.clone();
-            let progress = progress.clone();
-            let telemetry = instr.telemetry.clone();
-            let health_of = instr.health_of;
-            let tenant_health_of = instr.tenant_health_of;
-            let pin = config.pin_workers;
-            handles.push(s.spawn(move || {
-                if pin {
-                    pin_current_thread(idx);
-                }
-                let telem = telemetry.as_deref();
-                let mut scorer = FraudScorer::new();
-                let mut keys: Vec<[u8; 16]> = Vec::with_capacity(batch);
-                for RawBatch { items } in rx_raw {
-                    // Stage timing brackets: t0 → keys built (hash),
-                    // then → verdicts out (probe). Skipped entirely when
-                    // telemetry is off.
-                    let t0 = telem.map(|t| {
-                        t.shard_queue_depth(idx).sub(1);
-                        Instant::now()
-                    });
-                    keys.clear();
-                    keys.extend(items.iter().map(|(_, c)| c.key()));
-                    let refs: Vec<&[u8]> = keys.iter().map(<[u8; 16]>::as_slice).collect();
-                    let t1 = telem.zip(t0).map(|(t, t0)| {
-                        let now = Instant::now();
-                        t.stage_hash_ns().record(duration_ns(now - t0));
-                        now
-                    });
-                    let verdicts = detector.judge_refs(&refs, &items);
-                    if let Some((t, t1)) = telem.zip(t1) {
-                        t.stage_probe_ns().record(duration_ns(t1.elapsed()));
-                    }
-                    let judged: Vec<(u64, JudgedClick)> = items
-                        .into_iter()
-                        .zip(verdicts)
-                        .map(|((seq, click), verdict)| (seq, JudgedClick { click, verdict }))
-                        .collect();
-                    for (_, j) in &judged {
-                        scorer.record(&j.click, j.verdict);
-                    }
-                    if let Some(p) = &progress {
-                        p.detected.fetch_add(judged.len() as u64, Ordering::Relaxed);
-                    }
-                    if let Some(t) = telem {
-                        t.shard_batches(idx).inc();
-                        // Health scans are O(m): only pay when the
-                        // reporter raised this shard's request flag.
-                        if t.take_health_request(idx) {
-                            if let Some(h) = health_of(&detector) {
-                                t.publish_health(idx, &h);
-                            }
-                            if let Some(th) = tenant_health_of(&detector) {
-                                t.publish_tenant_health(idx, &th);
-                            }
-                        }
-                    }
-                    if tx_judged.send(JudgedBatch { items: judged }).is_err() {
-                        break; // billing stage gone; drain and stop
-                    }
-                }
-                // Terminal health sample: unconditional, so short runs
-                // that never tick a reporter still report final state.
-                let health = health_of(&detector);
-                if let Some((t, h)) = telem.zip(health.as_ref()) {
-                    t.publish_health(idx, h);
-                }
-                if let Some((t, th)) = telem.zip(tenant_health_of(&detector)) {
-                    t.publish_tenant_health(idx, &th);
-                }
-                let bits = detector.memory_bits();
-                (detector, scorer, bits, health)
-            }));
-        }
-        drop(tx_judged); // workers hold the remaining clones
-
-        // Resequencer + billing: restore global order, settle verdicts.
-        // The heap only ever holds out-of-order items already admitted
-        // through the bounded channels, so it cannot grow unboundedly,
-        // and draining `rx_judged` unconditionally keeps workers from
-        // ever deadlocking against a full judged channel.
-        let progress_bill = progress.clone();
-        let telemetry_bill = instr.telemetry.clone();
-        let billing = s.spawn(move || {
-            let telem = telemetry_bill.as_deref();
-            let mut registry = registry;
-            let mut engine = BillingEngine::with_ledger((), seed_ledger);
-            let mut savings = seed_savings;
-            let mut next_seq = 0u64;
-            // Pre-reserve the resequencer heap to its structural bound:
-            // every pending item was admitted through a bounded judged
-            // channel (queue * shard_count batches), plus one batch per
-            // worker in flight and the batch being drained here. Lazily
-            // grown (`BinaryHeap::new()`) the backlog high-water is
-            // timing-dependent, so the heap would occasionally realloc
-            // mid-run and break the zero-steady-state-allocation
-            // invariant the soak test asserts.
-            let mut pending: BinaryHeap<Reverse<Pending>> =
-                BinaryHeap::with_capacity(shard_count * (queue + 2) * batch);
-            // Clicks released in order this round; reused across
-            // batches so the split into resequence/settle phases costs
-            // no steady-state allocation. One round can release the
-            // whole backlog, so it shares the heap's bound.
-            let mut ready: Vec<JudgedClick> = Vec::with_capacity(shard_count * (queue + 2) * batch);
-            for JudgedBatch { items } in rx_judged {
-                let t0 = telem.map(|_| Instant::now());
-                for (seq, judged) in items {
-                    pending.push(Reverse(Pending { seq, judged }));
-                }
-                while pending.peek().is_some_and(|Reverse(p)| p.seq == next_seq) {
-                    let Reverse(p) = pending.pop().expect("peeked");
-                    ready.push(p.judged);
-                    next_seq += 1;
-                }
-                let t1 = telem.zip(t0).map(|(t, t0)| {
-                    let now = Instant::now();
-                    t.stage_resequence_ns().record(duration_ns(now - t0));
-                    if ready.is_empty() && !pending.is_empty() {
-                        // Head-of-line gap: this batch released nothing.
-                        t.reseq_stalls().inc();
-                    }
-                    t.pending_peak()
-                        .set_max(i64::try_from(pending.len()).unwrap_or(i64::MAX));
-                    now
-                });
-                for judged in ready.drain(..) {
-                    settle_one(
-                        &mut engine,
-                        &mut registry,
-                        &mut savings,
-                        progress_bill.as_deref(),
-                        &judged,
-                    );
-                }
-                if let Some((t, t1)) = telem.zip(t1) {
-                    t.stage_billing_ns().record(duration_ns(t1.elapsed()));
-                }
-            }
-            // Workers are done: the remainder is a contiguous tail.
-            while let Some(Reverse(p)) = pending.pop() {
-                debug_assert_eq!(p.seq, next_seq, "resequencer hole at shutdown");
-                settle_one(
-                    &mut engine,
-                    &mut registry,
-                    &mut savings,
-                    progress_bill.as_deref(),
-                    &p.judged,
-                );
-                next_seq += 1;
-            }
-            (engine.into_ledger(), savings, registry)
-        });
-
-        // Ingest + route on the caller's thread.
-        let mut buckets: Vec<Vec<(u64, Click)>> = (0..shard_count)
-            .map(|_| Vec::with_capacity(batch))
-            .collect();
-        let telem = instr.telemetry.as_deref();
-        'ingest: for (seq, click) in clicks.into_iter().enumerate() {
-            let shard = router.as_ref().map_or(0, |r| r.route(&click.key()));
-            buckets[shard].push((seq as u64, click));
-            if buckets[shard].len() == batch {
-                let full = std::mem::replace(&mut buckets[shard], Vec::with_capacity(batch));
-                if let Some(t) = telem {
-                    t.ingest_clicks().add(full.len() as u64);
-                    t.shard_queue_depth(shard).add(1);
-                }
-                if raw_txs[shard].send(RawBatch { items: full }).is_err() {
-                    break 'ingest; // a worker died; stop feeding
-                }
-            }
-        }
-        for (shard, (tx, bucket)) in raw_txs.iter().zip(buckets).enumerate() {
-            if !bucket.is_empty() {
-                if let Some(t) = telem {
-                    t.ingest_clicks().add(bucket.len() as u64);
-                    t.shard_queue_depth(shard).add(1);
-                }
-                let _ = tx.send(RawBatch { items: bucket });
-            }
-        }
-        drop(raw_txs);
-
-        let mut workers = Vec::with_capacity(shard_count);
-        let mut scorer = FraudScorer::new();
-        let mut memory_bits = 0usize;
-        let mut health = Vec::new();
-        for handle in handles {
-            let (detector, partial, bits, shard_health) =
-                handle.join().expect("detector worker panicked");
-            workers.push(detector);
-            scorer.merge(partial);
-            memory_bits += bits;
-            health.extend(shard_health);
-        }
-        let (ledger, savings, registry) = billing.join().expect("billing stage panicked");
-        FanoutResult {
-            workers,
-            scorer,
-            memory_bits,
-            health,
-            ledger,
-            savings,
-            registry,
-        }
-    })
-}
-
-/// The ring-transport fan-out: bounded SPSC rings between stages and
-/// two shared [`Pool`]s recycling the batch buffers, so the steady
-/// state allocates nothing.
+/// The fan-out engine behind every entry point: bounded SPSC rings
+/// between stages and two shared [`Pool`]s recycling the batch buffers,
+/// so the steady state allocates nothing. Billing starts from `state`
+/// and the result carries it forward, together with the detectors.
 ///
 /// Buffer life cycle: ingest `get`s a [`ClickBatch`] from the raw pool,
 /// fills it, and pushes it down the owning shard's raw ring; the worker
@@ -1197,11 +662,11 @@ where
 /// batch hasher ([`ShardRouter::route_flat_into`]) and ships the same
 /// key bytes to the worker inside the batch, where
 /// [`DuplicateDetector::observe_flat_into`] reuses them for probing.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn run_fanout_rings<D, I>(
+#[allow(clippy::too_many_lines)]
+fn run_fanout<D, I>(
     workers: Vec<D>,
-    router: Option<ShardRouter>,
-    seed: FanoutSeed,
+    router: ShardRouter,
+    state: SegmentState,
     clicks: I,
     config: PipelineConfig,
     progress: Option<Arc<PipelineProgress>>,
@@ -1214,11 +679,19 @@ where
     let batch = config.batch.max(1);
     let queue = config.queue.max(1);
     let shard_count = workers.len();
-    let FanoutSeed {
+    if let Some(t) = &instr.telemetry {
+        assert_eq!(
+            t.shard_count(),
+            shard_count,
+            "telemetry bundle sized for a different shard count"
+        );
+    }
+    let SegmentState {
         registry,
-        ledger: seed_ledger,
-        savings: seed_savings,
-    } = seed;
+        ledger,
+        savings_micros,
+        scorer,
+    } = state;
     let raw_pool = Arc::new(Pool::<ClickBatch>::new());
     let judged_pool = Arc::new(Pool::<JudgedBatch>::new());
     // Pre-populate both pools to their structural in-flight bounds with
@@ -1337,17 +810,21 @@ where
         let billing = s.spawn(move || {
             let telem = telemetry_bill.as_deref();
             let mut registry = registry;
-            let mut engine = BillingEngine::with_ledger((), seed_ledger);
-            let mut savings = seed_savings;
+            let mut engine = BillingEngine::with_ledger((), ledger);
+            let mut savings = savings_micros;
             let mut next_seq = 0u64;
-            // Same structural bound as the channel-transport resequencer:
-            // per-shard judged rings hold at most `queue` batches each,
-            // plus one in flight per worker and the one drained here.
-            // Pre-reserving keeps the heap from reallocating when the
-            // out-of-order backlog spikes mid-run (zero-steady-state-
-            // allocation invariant).
+            // Pre-reserve the resequencer heap: per-shard judged rings
+            // hold at most `queue` batches each, plus one in flight per
+            // worker and the one drained here. That covers the usual
+            // backlog, so the heap does not realloc mid-run and break
+            // the zero-steady-state-allocation invariant the soak test
+            // asserts. It is not a hard bound: while one worker stalls,
+            // billing keeps draining the other shards' rings into it.
             let mut pending: BinaryHeap<Reverse<Pending>> =
                 BinaryHeap::with_capacity(shard_count * (queue + 2) * batch);
+            // Clicks released in order this round, reused across
+            // batches. One round can release the whole backlog, so it
+            // shares the heap's bound.
             let mut ready: Vec<JudgedClick> = Vec::with_capacity(shard_count * (queue + 2) * batch);
             let mut consumers = judged_consumers;
             let mut open = vec![true; consumers.len()];
@@ -1459,12 +936,7 @@ where
             for c in &stage_clicks {
                 stage_keys.extend_from_slice(&c.key());
             }
-            if let Some(r) = &router {
-                r.route_flat_into(&stage_keys, KEY_LEN, &mut routes);
-            } else {
-                routes.clear();
-                routes.resize(stage_clicks.len(), 0);
-            }
+            router.route_flat_into(&stage_keys, KEY_LEN, &mut routes);
             if let Some((t, t0)) = telem.zip(t0) {
                 t.stage_hash_ns().record(duration_ns(t0.elapsed()));
             }
@@ -1501,7 +973,7 @@ where
         drop(raw_producers);
 
         let mut workers = Vec::with_capacity(shard_count);
-        let mut scorer = FraudScorer::new();
+        let mut scorer = scorer;
         let mut memory_bits = 0usize;
         let mut health = Vec::new();
         for handle in handles {
@@ -1519,12 +991,14 @@ where
         }
         FanoutResult {
             workers,
-            scorer,
+            state: SegmentState {
+                registry,
+                ledger,
+                savings_micros: savings,
+                scorer,
+            },
             memory_bits,
             health,
-            ledger,
-            savings,
-            registry,
         }
     })
 }
@@ -1562,6 +1036,21 @@ mod tests {
             .collect()
     }
 
+    /// `inner` as the one-shard composition every entry point takes.
+    fn one_shard<D>(inner: D) -> ShardedDetector<D> {
+        ShardedDetector::new(7, vec![inner]).expect("one shard")
+    }
+
+    fn small_tbf(window: usize, entries: usize) -> Tbf {
+        Tbf::new(
+            TbfConfig::builder(window)
+                .entries(entries)
+                .build()
+                .expect("cfg"),
+        )
+        .expect("detector")
+    }
+
     fn sharded_tbf(n: usize, shards: usize) -> ShardedDetector<Tbf> {
         ShardedDetector::from_fn(7, shards, |_| {
             let n_s = per_shard_window(n, shards);
@@ -1574,36 +1063,6 @@ mod tests {
             )
         })
         .expect("sharded detector")
-    }
-
-    #[test]
-    fn pipeline_matches_sequential_network() {
-        let cs = clicks(30_000);
-        let mk = || {
-            Tbf::new(
-                TbfConfig::builder(2_048)
-                    .entries(1 << 15)
-                    .seed(4)
-                    .build()
-                    .expect("cfg"),
-            )
-            .expect("detector")
-        };
-        // Sequential reference.
-        let mut net = crate::network::AdNetwork::new(mk());
-        let mut reg = registry();
-        std::mem::swap(net.registry_mut(), &mut reg);
-        let sequential = net.run(cs.iter());
-
-        // Pipelined.
-        let outcome = run_pipeline(mk(), registry(), cs.iter().copied(), 256, None);
-        assert_eq!(outcome.report.charged, sequential.charged);
-        assert_eq!(
-            outcome.report.duplicates_blocked,
-            sequential.duplicates_blocked
-        );
-        assert_eq!(outcome.report.revenue_micros, sequential.revenue_micros);
-        assert_eq!(outcome.report.savings_micros, sequential.savings_micros);
     }
 
     /// The acceptance bar of the sharded layer: the parallel pipeline
@@ -1680,14 +1139,17 @@ mod tests {
     fn progress_counters_advance() {
         let progress = Arc::new(PipelineProgress::new());
         let cs = clicks(5_000);
-        let d = Tbf::new(
-            TbfConfig::builder(512)
-                .entries(1 << 13)
-                .build()
-                .expect("cfg"),
-        )
-        .expect("detector");
-        let outcome = run_pipeline(d, registry(), cs, 64, Some(progress.clone()));
+        let outcome = run_sharded_pipeline(
+            one_shard(small_tbf(512, 1 << 13)),
+            registry(),
+            cs,
+            PipelineConfig {
+                batch: 64,
+                queue: 1,
+                ..PipelineConfig::default()
+            },
+            Some(progress.clone()),
+        );
         assert_eq!(progress.detected(), 5_000);
         assert_eq!(progress.billed(), 5_000);
         assert_eq!(outcome.report.clicks, 5_000);
@@ -1696,14 +1158,17 @@ mod tests {
     #[test]
     fn scorer_travels_with_the_outcome() {
         let cs = clicks(20_000);
-        let d = Tbf::new(
-            TbfConfig::builder(4_096)
-                .entries(1 << 16)
-                .build()
-                .expect("cfg"),
-        )
-        .expect("detector");
-        let outcome = run_pipeline(d, registry(), cs, 128, None);
+        let outcome = run_sharded_pipeline(
+            one_shard(small_tbf(4_096, 1 << 16)),
+            registry(),
+            cs,
+            PipelineConfig {
+                batch: 128,
+                queue: 1,
+                ..PipelineConfig::default()
+            },
+            None,
+        );
         assert!(outcome.scorer.total_clicks() == 20_000);
         assert!(!outcome.scorer.scores(100).is_empty());
     }
@@ -1774,7 +1239,7 @@ mod tests {
                 assert_eq!(e.value, cfd_telemetry::MetricValue::Gauge(0), "{}", e.name);
             }
         }
-        // Ring-transport extras: the pools are pre-populated to their
+        // The pools are pre-populated to their
         // structural in-flight bound, so no `get` ever finds them empty
         // — zero misses means zero mid-run buffer creation.
         let raw_misses = snap
@@ -1786,66 +1251,28 @@ mod tests {
         );
     }
 
-    /// The single-detector instrumented entry point works with a boxed
-    /// dynamic detector (the CLI's usage) and publishes terminal health.
+    /// The instrumented entry point works with a one-shard boxed dynamic
+    /// detector (the CLI's usage) and publishes terminal health.
     #[test]
     fn instrumented_single_shard_accepts_boxed_detector() {
         use cfd_windows::ObservableDetector;
         let cs = clicks(5_000);
-        let d: Box<dyn ObservableDetector + Send> = Box::new(
-            Tbf::new(
-                TbfConfig::builder(512)
-                    .entries(1 << 13)
-                    .build()
-                    .expect("cfg"),
-            )
-            .expect("detector"),
-        );
+        let d: Box<dyn ObservableDetector + Send> = Box::new(small_tbf(512, 1 << 13));
         let metrics = Arc::new(cfd_telemetry::Registry::new());
         let telemetry = Arc::new(PipelineTelemetry::new(&metrics, 1));
-        let outcome =
-            run_pipeline_instrumented(d, registry(), cs, 64, None, Arc::clone(&telemetry));
+        let outcome = run_sharded_pipeline_instrumented(
+            one_shard(d),
+            registry(),
+            cs,
+            PipelineConfig::default(),
+            None,
+            Arc::clone(&telemetry),
+        );
         assert_eq!(outcome.report.clicks, 5_000);
         assert_eq!(outcome.health.len(), 1);
         assert_eq!(outcome.health[0].observed_elements, 5_000);
         let snap = metrics.snapshot();
         assert_eq!(snap.get_counter("pipeline.ingest.clicks"), Some(5_000));
-    }
-
-    /// The transport is a throughput knob, never a semantics knob: the
-    /// ring data plane and the channel data plane produce identical
-    /// reports and scorers, including under a tight order-sensitive
-    /// budget where any reordering or dropped batch would show up.
-    #[test]
-    fn ring_and_channel_transports_agree() {
-        let cs = clicks(30_000);
-        let run = |transport: Transport| {
-            run_sharded_pipeline(
-                sharded_tbf(2_048, 4),
-                registry_with_budget(50_000),
-                cs.iter().copied(),
-                PipelineConfig {
-                    transport,
-                    ..PipelineConfig::default()
-                },
-                None,
-            )
-        };
-        let ring = run(Transport::Ring);
-        let chan = run(Transport::Channel);
-        assert_eq!(ring.report.charged, chan.report.charged);
-        assert_eq!(
-            ring.report.duplicates_blocked,
-            chan.report.duplicates_blocked
-        );
-        assert_eq!(ring.report.budget_rejections, chan.report.budget_rejections);
-        assert_eq!(ring.report.revenue_micros, chan.report.revenue_micros);
-        assert_eq!(ring.report.savings_micros, chan.report.savings_micros);
-        assert_eq!(
-            ring.report.detector_memory_bits,
-            chan.report.detector_memory_bits
-        );
-        assert_eq!(ring.scorer.total_clicks(), chan.scorer.total_clicks());
     }
 
     /// Worker pinning is advisory: the run completes and tallies
@@ -1874,65 +1301,53 @@ mod tests {
     }
 
     /// The acceptance bar of the timed mode: the parallel timed pipeline
-    /// blocks exactly the duplicates a sequential `observe_at` run of
-    /// the same `ShardedDetector` finds, for 1 and 4 shards.
+    /// bills exactly like a sequential `observe_at` run of the same
+    /// `ShardedDetector` settled in stream order, for 1 and 4 shards. A
+    /// tight budget makes billing order-sensitive, so a resequencer bug
+    /// cannot hide.
     #[test]
     fn timed_sharded_pipeline_matches_sequential_observe_at() {
         let cs = clicks(30_000);
-        for shards in [1usize, 4] {
+        for (shards, budget) in [(1usize, u64::MAX / 4), (4, u64::MAX / 4), (4, 50_000)] {
             let mut reference = sharded_time_tbf(shards);
-            let dup_count = cs
-                .iter()
-                .filter(|c| reference.observe_at(&c.key(), c.tick) == Verdict::Duplicate)
-                .count() as u64;
+            let mut engine = BillingEngine::new(());
+            let mut reg = registry_with_budget(budget);
+            let mut savings = 0;
+            for c in &cs {
+                let verdict = reference.observe_at(&c.key(), c.tick);
+                if engine.process_judged(c, verdict, &mut reg) == ClickOutcome::DuplicateBlocked {
+                    savings += reg.campaign(c.id.ad).expect("registered").cpc_micros;
+                }
+            }
+            let sequential = NetworkReport::from_ledger("", 0, &engine.into_ledger(), savings);
 
             let outcome = run_timed_sharded_pipeline(
                 sharded_time_tbf(shards),
-                registry(),
+                registry_with_budget(budget),
                 cs.iter().copied(),
                 PipelineConfig::default(),
                 None,
             );
-            assert_eq!(outcome.report.clicks, cs.len() as u64, "shards={shards}");
+            let at = format!("shards={shards} budget={budget}");
+            assert_eq!(outcome.report.clicks, cs.len() as u64, "{at}");
+            assert_eq!(outcome.report.charged, sequential.charged, "{at}");
             assert_eq!(
-                outcome.report.duplicates_blocked, dup_count,
-                "shards={shards}"
+                outcome.report.duplicates_blocked, sequential.duplicates_blocked,
+                "{at}"
             );
             assert_eq!(
-                outcome.report.charged,
-                cs.len() as u64 - dup_count,
-                "shards={shards}"
+                outcome.report.budget_rejections, sequential.budget_rejections,
+                "{at}"
+            );
+            assert_eq!(
+                outcome.report.revenue_micros, sequential.revenue_micros,
+                "{at}"
+            );
+            assert_eq!(
+                outcome.report.savings_micros, sequential.savings_micros,
+                "{at}"
             );
         }
-    }
-
-    /// Timed mode inherits transport neutrality: ring and channel data
-    /// planes agree verdict for verdict under a tight budget.
-    #[test]
-    fn timed_ring_and_channel_transports_agree() {
-        let cs = clicks(20_000);
-        let run = |transport: Transport| {
-            run_timed_sharded_pipeline(
-                sharded_time_tbf(4),
-                registry_with_budget(50_000),
-                cs.iter().copied(),
-                PipelineConfig {
-                    transport,
-                    ..PipelineConfig::default()
-                },
-                None,
-            )
-        };
-        let ring = run(Transport::Ring);
-        let chan = run(Transport::Channel);
-        assert_eq!(ring.report.charged, chan.report.charged);
-        assert_eq!(
-            ring.report.duplicates_blocked,
-            chan.report.duplicates_blocked
-        );
-        assert_eq!(ring.report.budget_rejections, chan.report.budget_rejections);
-        assert_eq!(ring.report.revenue_micros, chan.report.revenue_micros);
-        assert_eq!(ring.report.savings_micros, chan.report.savings_micros);
     }
 
     /// The timed instrumented entry points report per-shard health and
@@ -1955,7 +1370,7 @@ mod tests {
         let total: u64 = outcome.health.iter().map(|h| h.observed_elements).sum();
         assert_eq!(total, 10_000, "shard healths partition the stream");
 
-        // Single-shard boxed form (the CLI's usage).
+        // One-shard boxed form (the CLI's usage).
         use cfd_windows::TimedObservableDetector;
         let d: Box<dyn TimedObservableDetector + Send> = Box::new(
             TimeTbf::new(TimeTbfConfig::new(64, 16, 1 << 14, 6, 4).expect("cfg"))
@@ -1963,11 +1378,11 @@ mod tests {
         );
         let metrics = Arc::new(cfd_telemetry::Registry::new());
         let telemetry = Arc::new(PipelineTelemetry::new(&metrics, 1));
-        let outcome = run_timed_pipeline_instrumented(
-            d,
+        let outcome = run_timed_sharded_pipeline_instrumented(
+            one_shard(d),
             registry(),
             cs.iter().copied(),
-            64,
+            PipelineConfig::default(),
             None,
             Arc::clone(&telemetry),
         );

@@ -1,11 +1,11 @@
 //! Bounded single-producer/single-consumer ring buffer and buffer pool —
 //! the zero-allocation transport of the pipeline data plane.
 //!
-//! The crossbeam channel shim used between pipeline stages is a
+//! The crossbeam channel shim the pipeline stages once used is a
 //! `Mutex<VecDeque>` + `Condvar` queue: every send/receive takes a lock,
 //! may allocate inside the deque, and parks through the kernel under
-//! contention. This ring replaces it on the hot path with two cache-padded
-//! atomic counters and a fixed slot array:
+//! contention. This ring replaced it on the hot path with two
+//! cache-padded atomic counters and a fixed slot array:
 //!
 //! * **SPSC discipline.** Exactly one [`Producer`] and one [`Consumer`]
 //!   exist per ring (enforced by ownership — the handles are not `Clone`).

@@ -17,7 +17,6 @@
 use cfd_adnet::{
     serve, Advertiser, AdvertiserId, Campaign, DrainControl, Endpoint, PipelineConfig,
     PipelineProgress, Registry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState,
-    Transport,
 };
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
 use cfd_core::{Tbf, TbfConfig};
@@ -217,7 +216,6 @@ fn multi_client_soak_is_zero_alloc_with_backpressure() {
         pipeline: PipelineConfig {
             batch: 1,
             queue: 8,
-            transport: Transport::Ring,
             pin_workers: false,
         },
         checkpoint_path: None,

@@ -11,7 +11,7 @@
 //! The library crates all `#![forbid(unsafe_code)]`; the one `unsafe
 //! impl` lives here, in a test binary, where `GlobalAlloc` requires it.
 
-use cfd_adnet::{run_sharded_pipeline, PipelineConfig, PipelineProgress, Transport};
+use cfd_adnet::{run_sharded_pipeline, PipelineConfig, PipelineProgress};
 use cfd_adnet::{Advertiser, AdvertiserId, Campaign, Registry};
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
 use cfd_core::{Tbf, TbfConfig};
@@ -141,7 +141,6 @@ fn zero_alloc_steady_state() {
         PipelineConfig {
             batch: 1,
             queue: 8,
-            transport: Transport::Ring,
             pin_workers: false,
         },
         Some(Arc::clone(&progress)),

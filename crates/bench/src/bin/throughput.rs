@@ -34,20 +34,20 @@
 //! cargo run --release -p cfd-bench --bin throughput -- --pipeline [--quick] [--out PATH]
 //! ```
 //!
-//! Benchmarks the zero-allocation ingest work under the same paired,
-//! order-alternated, median-of-rounds protocol, writing
-//! `BENCH_pr4.json`:
+//! Benchmarks the zero-allocation ingest work under the same
+//! median-of-rounds protocol, writing `BENCH_pr4.json`:
 //!
 //! * **hash micro**: multi-lane batch hashing
 //!   ([`Planner::plan_flat_into`]) vs the per-id scalar
-//!   [`Planner::plan`] loop over the same 16-byte click keys, with a
-//!   checksum cross-check that the plans are identical;
+//!   [`Planner::plan`] loop over the same 16-byte click keys, paired
+//!   and order-alternated, with a checksum cross-check that the plans
+//!   are identical;
 //! * **pipeline end-to-end**: the full ingest → sharded detection →
-//!   resequencer → billing pipeline on [`Transport::Ring`] (pooled
-//!   SPSC rings, zero steady-state allocation) vs
-//!   [`Transport::Channel`] (crossbeam, one allocation per batch) at
-//!   equal shard count, with the two transports' reports asserted
-//!   equal every round.
+//!   resequencer → billing pipeline (pooled SPSC rings, zero
+//!   steady-state allocation), with its report asserted equal every
+//!   round to a sequential [`AdNetwork`] run over the same
+//!   `ShardedDetector`. At full scale its median must reach 0.95× the
+//!   ring median the committed `BENCH_pr4.json` recorded.
 //!
 //! ## PR 5 scenario: `--timed`
 //!
@@ -116,8 +116,8 @@
 //! writing a `cfd-bench-sweep/1` report (default `BENCH_sweep.json`).
 
 use cfd_adnet::{
-    run_sharded_pipeline, Advertiser, AdvertiserId, Campaign, NetworkReport, PipelineConfig,
-    Registry, Transport,
+    run_sharded_pipeline, AdNetwork, Advertiser, AdvertiserId, Campaign, NetworkReport,
+    PipelineConfig, Registry,
 };
 use cfd_analysis::blocked::{fp_blocked_gbf, fp_blocked_tbf};
 use cfd_analysis::sizing::{arena_tenant_budget, TenantBudget};
@@ -343,24 +343,28 @@ fn json_f64(x: f64) -> String {
 }
 
 // ---------------------------------------------------------------------
-// PR 4 scenario: multi-lane hashing micro + ring-vs-channel pipeline.
+// `--pipeline` scenario: multi-lane hashing micro + end-to-end ring pipeline.
 // ---------------------------------------------------------------------
 
 /// Click-key length: [`Click::key`] is 16 bytes.
 const PIPE_KEY_LEN: usize = 16;
 
 /// Inter-stage batch and per-worker queue depth for the end-to-end
-/// comparison — identical for both transports. Small batches model a
-/// latency-bounded ingest (flush every few hundred µs); they are also
-/// where transport overhead dominates, which is exactly what this
-/// scenario compares.
+/// run. Small batches model a latency-bounded ingest (flush every few
+/// hundred µs); they are also where transport overhead dominates,
+/// which is exactly what this scenario measures.
 const PIPE_BATCH: usize = 16;
 const PIPE_QUEUE: usize = 8;
 
-/// Worker shards for the transport comparison. Two shards keep the
-/// thread count (ingest + workers + billing) close to typical CI core
-/// counts; transport overhead, not parallelism, is what this measures.
+/// Worker shards for the end-to-end run. Two shards keep the thread
+/// count (ingest + workers + billing) close to typical CI core counts;
+/// transport overhead, not parallelism, is what this measures.
 const PIPE_SHARDS: usize = 2;
+
+/// Full-scale floor on the end-to-end median: 0.95× the ring median
+/// (2.582126 M clicks/s) of the committed `BENCH_pr4.json`, measured at
+/// this same geometry and scale.
+const PIPE_RING_FLOOR: f64 = 0.95 * 2.582_126e6;
 
 struct PipelineScale {
     label: &'static str,
@@ -391,9 +395,9 @@ fn pipeline_detector(n: usize) -> ShardedDetector<Tbf> {
     .expect("sharded detector")
 }
 
-/// One timed end-to-end run on the given transport; fresh detector and
-/// registry per run, stream reused by reference.
-fn drive_pipeline(clicks: &[Click], window: usize, transport: Transport) -> (f64, NetworkReport) {
+/// One timed end-to-end run; fresh detector and registry per run,
+/// stream reused by reference.
+fn drive_pipeline(clicks: &[Click], window: usize) -> (f64, NetworkReport) {
     let detector = pipeline_detector(window);
     let start = Instant::now();
     let outcome = run_sharded_pipeline(
@@ -403,7 +407,6 @@ fn drive_pipeline(clicks: &[Click], window: usize, transport: Transport) -> (f64
         PipelineConfig {
             batch: PIPE_BATCH,
             queue: PIPE_QUEUE,
-            transport,
             pin_workers: false,
         },
         None,
@@ -488,43 +491,25 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     }
     let hash_speedup = median(&lanes_rates) / median(&scalar_rates);
 
-    // ---- End-to-end: ring transport vs channel transport ------------
+    // ---- End-to-end: ring pipeline vs its sequential reference -------
+    // Every clicked ad is registered, so the single-threaded AdNetwork
+    // over the same ShardedDetector bills exactly like the pipeline.
+    let mut network = AdNetwork::new(pipeline_detector(scale.window));
+    *network.registry_mut() = pipeline_registry();
+    let sequential = network.run(&clicks);
     let mut ring_rates = Vec::new();
-    let mut channel_rates = Vec::new();
-    let mut transports_agree = true;
+    let mut matches_sequential = true;
     for round in 0..=scale.rounds {
-        let mut ring_first = round % 2 == 0;
-        let mut ring = (0.0, None);
-        let mut chan = (0.0, None);
-        for _ in 0..2 {
-            let transport = if ring_first {
-                Transport::Ring
-            } else {
-                Transport::Channel
-            };
-            let (rate, report) = drive_pipeline(&clicks, scale.window, transport);
-            if ring_first {
-                ring = (rate, Some(report));
-            } else {
-                chan = (rate, Some(report));
-            }
-            ring_first = !ring_first;
-        }
-        let (r, c) = (ring.1.expect("ran"), chan.1.expect("ran"));
-        let agree = r.charged == c.charged
-            && r.duplicates_blocked == c.duplicates_blocked
-            && r.revenue_micros == c.revenue_micros
-            && r.savings_micros == c.savings_micros;
-        if !agree {
-            eprintln!("FAIL: transports disagree in round {round}");
-            transports_agree = false;
+        let (rate, report) = drive_pipeline(&clicks, scale.window);
+        if report != sequential {
+            eprintln!("FAIL: pipeline and sequential reports disagree in round {round}");
+            matches_sequential = false;
         }
         if round > 0 {
-            ring_rates.push(ring.0);
-            channel_rates.push(chan.0);
+            ring_rates.push(rate);
         }
     }
-    let ring_speedup = median(&ring_rates) / median(&channel_rates);
+    let ring_median = median(&ring_rates);
 
     // ---- Human table ------------------------------------------------
     let mut table = String::new();
@@ -537,7 +522,6 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     for (name, rates) in [
         ("hash scalar plan()", &scalar_rates),
         ("hash multi-lane flat", &lanes_rates),
-        ("pipeline channel", &channel_rates),
         ("pipeline ring+pool", &ring_rates),
     ] {
         let _ = writeln!(table, "{:<28} {:>14.2}", name, median(rates) / 1e6);
@@ -548,13 +532,15 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     );
     let _ = writeln!(
         table,
-        "# ring/channel pipeline speedup = {ring_speedup:.2}x"
+        "# ring pipeline median = {:.2} Mclicks/s (full-scale floor {:.2})",
+        ring_median / 1e6,
+        PIPE_RING_FLOOR / 1e6
     );
     print!("{table}");
 
     // ---- Gates ------------------------------------------------------
     let hash_ok = hash_speedup >= 1.3;
-    let ring_ok = ring_speedup >= 1.2;
+    let ring_ok = ring_median >= PIPE_RING_FLOOR;
     let gate = |ok: bool| {
         if ok {
             "PASS"
@@ -565,10 +551,10 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
         }
     };
     println!(
-        "# gates: lanes>=1.3x {} | ring>=1.2x {} | transports-agree {} | checksums {}",
+        "# gates: lanes>=1.3x {} | ring>=0.95x BENCH_pr4 {} | matches-sequential {} | checksums {}",
         gate(hash_ok),
         gate(ring_ok),
-        if transports_agree { "PASS" } else { "FAIL" },
+        if matches_sequential { "PASS" } else { "FAIL" },
         if checksums_agree { "PASS" } else { "FAIL" },
     );
 
@@ -581,7 +567,7 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
             .join(", ")
     };
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"cfd-bench-pipeline/1\",");
+    let _ = writeln!(json, "  \"schema\": \"cfd-bench-pipeline/2\",");
     let _ = writeln!(json, "  \"scale\": \"{}\",", scale.label);
     let _ = writeln!(json, "  \"clicks\": {},", scale.clicks);
     let _ = writeln!(json, "  \"rounds\": {},", scale.rounds);
@@ -610,22 +596,20 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     let _ = writeln!(json, "  \"pipeline\": {{");
     let _ = writeln!(
         json,
-        "    \"channel_clicks_per_sec_median\": {},",
-        json_f64(median(&channel_rates))
+        "    \"ring_clicks_per_sec_median\": {},",
+        json_f64(ring_median)
     );
+    let _ = writeln!(json, "    \"ring_rounds\": [{}],", join(&ring_rates));
     let _ = writeln!(
         json,
-        "    \"ring_clicks_per_sec_median\": {},",
-        json_f64(median(&ring_rates))
+        "    \"ring_floor_clicks_per_sec\": {}",
+        json_f64(PIPE_RING_FLOOR)
     );
-    let _ = writeln!(json, "    \"channel_rounds\": [{}],", join(&channel_rates));
-    let _ = writeln!(json, "    \"ring_rounds\": [{}],", join(&ring_rates));
-    let _ = writeln!(json, "    \"speedup\": {}", json_f64(ring_speedup));
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"checks\": {{");
     let _ = writeln!(json, "    \"hash_speedup_ok\": {hash_ok},");
-    let _ = writeln!(json, "    \"ring_speedup_ok\": {ring_ok},");
-    let _ = writeln!(json, "    \"transports_agree\": {transports_agree},");
+    let _ = writeln!(json, "    \"ring_floor_ok\": {ring_ok},");
+    let _ = writeln!(json, "    \"matches_sequential\": {matches_sequential},");
     let _ = writeln!(json, "    \"checksums_agree\": {checksums_agree}");
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
@@ -639,7 +623,7 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     }
 
     let speedup_gates_ok = quick || (hash_ok && ring_ok);
-    if !transports_agree || !checksums_agree || !speedup_gates_ok {
+    if !matches_sequential || !checksums_agree || !speedup_gates_ok {
         std::process::exit(1);
     }
 }

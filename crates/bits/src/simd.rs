@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernels for the probe/apply hot path.
 //!
-//! Every kernel here has two implementations: an AVX2 body (gathers,
-//! wide 64-bit compares reduced to lane masks via `movemask`) and a
+//! Every kernel here has two implementations: an AVX2 body (wide
+//! 64-bit compares reduced to lane masks via `movemask`) and a
 //! portable scalar/SWAR body. The two are **bit-identical by
 //! construction** — the AVX2 side evaluates exactly the same integer
 //! predicates, just four lanes at a time — so the dispatch decision can
@@ -243,34 +243,6 @@ pub fn eq_shifted_mask(vals: &[u64], shift: u32, target: u64) -> u32 {
     m
 }
 
-/// Gathers `out[i] = base[idx[i]]` for four indices — one AVX2 gather
-/// replacing four dependent scalar line loads in the grouped blocked
-/// probe path.
-///
-/// # Panics
-///
-/// Panics if any index is out of bounds.
-#[inline]
-#[must_use]
-#[allow(unsafe_code)] // dispatch into the AVX2 bodies below
-pub fn gather4(base: &[u64], idx: [usize; 4]) -> [u64; 4] {
-    assert!(
-        idx.iter().all(|&i| i < base.len()),
-        "gather index out of bounds"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if wide_enabled() {
-            // SAFETY: AVX2 support was verified at runtime by
-            // `wide_enabled()`, and every index was bounds-checked
-            // against `base` just above, so the gather reads only
-            // in-bounds `u64`s.
-            return unsafe { avx2::gather4(base.as_ptr(), idx) };
-        }
-    }
-    [base[idx[0]], base[idx[1]], base[idx[2]], base[idx[3]]]
-}
-
 /// ANDs `src` into `acc` word by word (`acc[i] &= src[i]`) — the GBF
 /// interleaved-word AND-mask reduction, four words per step on AVX2.
 ///
@@ -305,9 +277,9 @@ mod avx2 {
     use super::StampMasks;
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256, _mm256_castsi256_pd,
-        _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_i64gather_epi64, _mm256_loadu_si256,
-        _mm256_movemask_pd, _mm256_set1_epi64x, _mm256_setr_epi64x, _mm256_srl_epi64,
-        _mm256_storeu_si256, _mm256_sub_epi64, _mm_cvtsi64_si128,
+        _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
+        _mm256_set1_epi64x, _mm256_srl_epi64, _mm256_storeu_si256, _mm256_sub_epi64,
+        _mm_cvtsi64_si128,
     };
 
     /// One bit per 64-bit lane from a full-width lane mask.
@@ -429,18 +401,6 @@ mod avx2 {
         m
     }
 
-    /// AVX2 body of [`super::gather4`]. Caller bounds-checks `idx`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather4(base: *const u64, idx: [usize; 4]) -> [u64; 4] {
-        let idx_v = _mm256_setr_epi64x(idx[0] as i64, idx[1] as i64, idx[2] as i64, idx[3] as i64);
-        // SAFETY (caller): every `idx[i] < len(base)`, so each gathered
-        // address `base + idx[i] * 8` reads one in-bounds `u64`.
-        let v = _mm256_i64gather_epi64::<8>(base.cast(), idx_v);
-        let mut out = [0u64; 4];
-        _mm256_storeu_si256(out.as_mut_ptr().cast(), v);
-        out
-    }
-
     /// AVX2 body of [`super::and_words`]. Caller length-checks slices.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn and_words(acc: &mut [u64], src: &[u64]) {
@@ -533,20 +493,6 @@ mod tests {
         assert_eq!(got, 1 << 4);
         let all = both_paths(|| eq_shifted_mask(&vals, 63, 0));
         assert_eq!(all, (1 << 9) - 1);
-    }
-
-    #[test]
-    fn gather4_reads_the_right_words() {
-        let base: Vec<u64> = (0..100).map(|i| i * i).collect();
-        let got = both_paths(|| gather4(&base, [0, 99, 42, 7]));
-        assert_eq!(got, [0, 99 * 99, 42 * 42, 7 * 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn gather4_out_of_bounds_panics() {
-        let base = vec![0u64; 4];
-        let _ = gather4(&base, [0, 1, 2, 4]);
     }
 
     #[test]

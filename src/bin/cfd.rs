@@ -17,7 +17,7 @@ use cfd_adnet::{
     replay_client, run_sharded_pipeline, run_sharded_pipeline_instrumented,
     run_timed_sharded_pipeline, run_timed_sharded_pipeline_instrumented, serve, Advertiser,
     AdvertiserId, Campaign, ClientConfig, DrainControl, Endpoint, FraudScorer, PipelineConfig,
-    PipelineTelemetry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState, Transport,
+    PipelineTelemetry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState,
 };
 use cfd_core::config::ProbeLayout;
 use cfd_core::registry::{BackendGeometry, DetectorBackend, MemorySpec};
@@ -98,14 +98,11 @@ commands:
              [--seed <u64>] [--shards <S>] [--batch <B>] [--queue <Q>]
              [--layout scattered|blocked]
              [--window-units <U>] [--sub-units <U>] [--unit-ticks <T>]
-             [--transport ring|channel] [--ring-capacity <batches>]
              [--pin-workers]
              (--trace <file> | [--kind <workload>] [--count <clicks>])
-             (--transport picks the inter-stage data plane: pooled SPSC
-              rings by default, crossbeam channels as the baseline;
-              --ring-capacity overrides --queue as the per-worker ring
-              size in batches, rounded up to a power of two;
-              --pin-workers pins shard worker i to CPU i, best-effort)
+             (--queue sets the per-worker ring size in batches, rounded
+              up to a power of two; --pin-workers pins shard worker i to
+              CPU i, best-effort)
              [--ads <N>] [--report-json <file>]
              [--metrics[=millis]] [--metrics-json]
              (--metrics prints periodic telemetry snapshots to stderr:
@@ -128,24 +125,53 @@ commands:
 /// Minimal `--name value` argument map (flags take `true`).
 struct Opts(HashMap<String, String>);
 
+/// The detector-shaping options ([`DetectorSpec::parse`]).
+const DETECTOR_OPTS: &[&str] = &[
+    "algo",
+    "window",
+    "sub-windows",
+    "cells-per-element",
+    "k",
+    "seed",
+    "layout",
+];
+
+/// The time-window geometry options ([`TimedParams::parse`]).
+const TIMED_OPTS: &[&str] = &["window-units", "sub-units", "unit-ticks"];
+
+/// The pipeline, billing and telemetry options `run` and `serve` share.
+const PIPELINE_OPTS: &[&str] = &[
+    "shards",
+    "batch",
+    "queue",
+    "pin-workers",
+    "ads",
+    "report-json",
+    "metrics",
+    "metrics-json",
+];
+
 impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args`, rejecting any option not in `accepted` with
+    /// [`cli::UsageError::Unknown`].
+    fn parse(args: &[String], accepted: &[&[&str]]) -> Result<Self, String> {
+        let accepted = accepted.concat();
         let mut map = HashMap::new();
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             let name = arg
                 .strip_prefix("--")
-                .ok_or_else(|| format!("expected an option, got `{arg}`"))?;
+                .ok_or_else(|| cli::UsageError::Unknown(arg.clone()).to_string())?;
             // `--name=value` binds inline; otherwise the next
             // non-option token is the value, and a bare flag is "true".
-            if let Some((name, value)) = name.split_once('=') {
-                map.insert(name.to_owned(), value.to_owned());
-                continue;
-            }
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().expect("peeked").clone(),
-                _ => "true".to_owned(),
+            let (name, value) = match name.split_once('=') {
+                Some((name, value)) => (name, value.to_owned()),
+                None => match it.peek() {
+                    Some(v) if !v.starts_with("--") => (name, it.next().expect("peeked").clone()),
+                    _ => (name, "true".to_owned()),
+                },
             };
+            cli::check_option(name, &accepted).map_err(|e| e.to_string())?;
             map.insert(name.to_owned(), value);
         }
         Ok(Self(map))
@@ -183,14 +209,42 @@ impl Opts {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    let opts = |accepted: &[&[&str]]| Opts::parse(&args[1..], accepted);
     match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&Opts::parse(&args[1..])?),
-        Some("detect") => cmd_detect(&Opts::parse(&args[1..])?),
-        Some("run") => cmd_run(&Opts::parse(&args[1..])?),
-        Some("serve") => cmd_serve(&Opts::parse(&args[1..])?),
-        Some("replay-client") => cmd_replay_client(&Opts::parse(&args[1..])?),
-        Some("size") => cmd_size(&Opts::parse(&args[1..])?),
-        Some("sweep") => cmd_sweep(&Opts::parse(&args[1..])?),
+        Some("generate") => cmd_generate(&opts(&[&["kind", "count", "seed", "out"]])?),
+        Some("detect") => cmd_detect(&opts(&[
+            DETECTOR_OPTS,
+            TIMED_OPTS,
+            &["shards", "batch", "trace", "score-publishers"],
+        ])?),
+        Some("run") => cmd_run(&opts(&[
+            DETECTOR_OPTS,
+            TIMED_OPTS,
+            PIPELINE_OPTS,
+            &["trace", "kind", "count"],
+        ])?),
+        Some("serve") => cmd_serve(&opts(&[
+            DETECTOR_OPTS,
+            PIPELINE_OPTS,
+            &[
+                "listen",
+                "hub-batches",
+                "checkpoint",
+                "checkpoint-every",
+                "resume",
+            ],
+        ])?),
+        Some("replay-client") => cmd_replay_client(&opts(&[&[
+            "connect",
+            "trace",
+            "frame-clicks",
+            "limit",
+            "drain",
+            "throttle-ms",
+            "retries",
+        ]])?),
+        Some("size") => cmd_size(&opts(&[&["algo", "window", "sub-windows", "target-fp"]])?),
+        Some("sweep") => cmd_sweep(&opts(&[&["scenario", "quick", "out", "table"]])?),
         Some("algos") => {
             print!("{}", cfd_core::registry::markdown_table());
             Ok(())
@@ -563,15 +617,6 @@ fn print_stream_report(opts: &Opts, summary: &StreamSummary, scorer: &FraudScore
     }
 }
 
-/// Parses `--transport ring|channel` (default ring).
-fn parse_transport(opts: &Opts) -> Result<Transport, String> {
-    match opts.get("transport").unwrap_or("ring") {
-        "ring" => Ok(Transport::Ring),
-        "channel" => Ok(Transport::Channel),
-        other => Err(format!("--transport: `{other}` (accepted: ring, channel)")),
-    }
-}
-
 /// The fixed billing registry behind `--ads N`: one advertiser with an
 /// effectively unlimited budget and campaigns `0..N` at a flat CPC.
 /// `cfd run --ads N` and `cfd serve --ads N` build this identically, so
@@ -619,8 +664,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     let shards: usize = opts.positive("shards", 4)?;
     let batch: usize = opts.positive("batch", 512)?;
     let queue: usize = opts.positive("queue", 16)?;
-    let transport = parse_transport(opts)?;
-    let ring_capacity: usize = opts.positive("ring-capacity", queue)?;
     let pin_workers = opts.flag("pin-workers");
 
     let clicks: Vec<Click> = match opts.get("trace") {
@@ -682,11 +725,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     };
     let config = PipelineConfig {
         batch,
-        queue: match transport {
-            Transport::Ring => ring_capacity,
-            Transport::Channel => queue,
-        },
-        transport,
+        queue,
         pin_workers,
     };
     let total = clicks.len();
@@ -792,7 +831,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let shards: usize = opts.positive("shards", 4)?;
     let batch: usize = opts.positive("batch", 512)?;
     let queue: usize = opts.positive("queue", 16)?;
-    let transport = parse_transport(opts)?;
     let ads: u32 = opts.parse_num("ads", 64)?;
     let hub_batches: usize = opts.positive("hub-batches", 64)?;
     let checkpoint = opts.get("checkpoint").map(PathBuf::from);
@@ -863,7 +901,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         pipeline: PipelineConfig {
             batch,
             queue,
-            transport,
             pin_workers: opts.flag("pin-workers"),
         },
         checkpoint_path: checkpoint,

@@ -7,9 +7,10 @@
 //!
 //! [`UsageError`] is the typed rejection for malformed option values
 //! (`--shards 0`, `--batch 0`, a zero tenant memory budget, unparsable
-//! numbers): the binary maps it to its usage-printing error path, and
-//! the variants are unit-tested here so a refactor can't silently turn
-//! a clean rejection back into a panic.
+//! numbers) and for options a command does not take (a typo, or a flag
+//! that no longer exists): the binary maps it to its usage-printing
+//! error path, and the variants are unit-tested here so a refactor
+//! can't silently turn a clean rejection back into a panic.
 
 use std::fmt;
 
@@ -40,7 +41,8 @@ pub enum UsageError {
         /// Why the value was rejected.
         reason: String,
     },
-    /// An argument no command recognizes.
+    /// An argument the command does not take (a misspelt or retired
+    /// option, or a stray positional value).
     Unknown(String),
     /// An option that requires a value was the last argument.
     MissingValue(&'static str),
@@ -88,6 +90,22 @@ pub fn parse_positive(option: &'static str, raw: &str) -> Result<usize, UsageErr
     positive(option, value)
 }
 
+/// Checks an option name (without the `--` prefix) against the
+/// options a command takes.
+///
+/// # Errors
+///
+/// Returns [`UsageError::Unknown`] naming `--{name}` when `name` is not
+/// in `accepted`, so a retired or misspelt option fails loudly instead
+/// of being silently ignored.
+pub fn check_option(name: &str, accepted: &[&str]) -> Result<(), UsageError> {
+    if accepted.contains(&name) {
+        Ok(())
+    } else {
+        Err(UsageError::Unknown(format!("--{name}")))
+    }
+}
+
 /// The `cfd serve` usage block. Spliced into the binary's help text
 /// and asserted verbatim in `README.md`.
 pub const SERVE_USAGE: &str = "\
@@ -96,7 +114,7 @@ pub const SERVE_USAGE: &str = "\
              [--algo <backend>] [--window <N>] [--shards <S>]
              [--sub-windows <Q>] [--cells-per-element <c>] [--k <hashes>]
              [--seed <u64>] [--layout scattered|blocked] [--batch <B>]
-             [--queue <Q>] [--transport ring|channel] [--pin-workers]
+             [--queue <Q>] [--pin-workers]
              [--ads <N>] [--hub-batches <batches>] [--checkpoint <file>]
              [--checkpoint-every <clicks>] [--resume]
              [--report-json <file>] [--metrics[=millis]] [--metrics-json]
@@ -181,6 +199,19 @@ mod tests {
                 option: "window",
                 value: "-3".to_owned(),
             })
+        );
+    }
+
+    #[test]
+    fn options_a_command_does_not_take_are_rejected_by_name() {
+        let accepted = ["queue", "batch", "pin-workers"];
+        assert_eq!(check_option("queue", &accepted), Ok(()));
+        let err = check_option("transport", &accepted).unwrap_err();
+        assert_eq!(err, UsageError::Unknown("--transport".to_owned()));
+        assert_eq!(err.to_string(), "unrecognized argument `--transport`");
+        assert_eq!(
+            check_option("ring-capacity", &accepted),
+            Err(UsageError::Unknown("--ring-capacity".to_owned()))
         );
     }
 

@@ -62,6 +62,13 @@ def gates_throughput(d, name):
     return f'{d["scale"]} scale, {len(d["configs"])} configs, blocked FP within model'
 
 
+# Full-scale ring pipeline median of the committed BENCH_pr4.json
+# (2 shards, batch 16, 2^21 clicks). The ring floor is 0.95x of it: the
+# channel transport the old ring >= 1.2x channel gate compared against
+# is gone, and 0.95 x 2.58M is above the old gate's 1.2 x 1.92M.
+BENCH_PR4_RING_MEDIAN = 2.582126e6
+
+
 def gates_pipeline(d, name):
     h, p = d["hash"], d["pipeline"]
     if h["lanes"] not in (4, 8):
@@ -69,20 +76,24 @@ def gates_pipeline(d, name):
     for label, rows in (
         ("hash.scalar_rounds", h["scalar_rounds"]),
         ("hash.lanes_rounds", h["lanes_rounds"]),
-        ("pipeline.channel_rounds", p["channel_rounds"]),
         ("pipeline.ring_rounds", p["ring_rounds"]),
     ):
         require_rounds(name, d, label, rows, d["rounds"])
-    if not d["checks"]["transports_agree"]:
-        fail(name, "ring and channel reports diverged")
+    # /1 is the historical BENCH_pr4 record, whose ring reports were
+    # checked against the since-removed channel transport; /2 checks
+    # them against a sequential AdNetwork run.
+    agree = "transports_agree" if d["schema"] == "cfd-bench-pipeline/1" else "matches_sequential"
+    if not d["checks"][agree]:
+        fail(name, f"pipeline reports diverged ({agree})")
     if not d["checks"]["checksums_agree"]:
         fail(name, "lanes/scalar hash checksums diverged")
+    ring = p["ring_clicks_per_sec_median"]
     if d["scale"] == "full":
         if not (d["checks"]["hash_speedup_ok"] and h["speedup"] >= 1.3):
             fail(name, f'hash speedup {h["speedup"]}')
-        if not (d["checks"]["ring_speedup_ok"] and p["speedup"] >= 1.2):
-            fail(name, f'ring speedup {p["speedup"]}')
-    return f'{d["scale"]} scale, hash x{h["speedup"]:.2f}, ring x{p["speedup"]:.2f}'
+        if ring < 0.95 * BENCH_PR4_RING_MEDIAN:
+            fail(name, f"ring median {ring:.4g} below 0.95 x BENCH_pr4 {BENCH_PR4_RING_MEDIAN:.4g}")
+    return f'{d["scale"]} scale, hash x{h["speedup"]:.2f}, ring {ring / 1e6:.2f} Mclicks/s'
 
 
 def gates_timed(d, name):
@@ -472,6 +483,9 @@ MANIFEST = {
         "gates": gates_sweep,
     },
 }
+
+# The current pipeline report keeps the /1 layout minus the channel leg.
+MANIFEST["cfd-bench-pipeline/2"] = MANIFEST["cfd-bench-pipeline/1"]
 
 
 def check(path):
