@@ -156,35 +156,87 @@ if [[ "${1:-}" != "quick" ]]; then
     fi
     grep -q -- '--transport' /tmp/cfd_unknown_err.txt
     echo "   rejected with: $(head -n 1 /tmp/cfd_unknown_err.txt)"
+    echo "==> bad detector and sizing arguments are named errors, not panics"
+    # expect_error PATTERN ARGS...: `cfd ARGS` must fail with PATTERN on
+    # its first stderr line.
+    expect_error() {
+        local pattern=$1; shift
+        if ./target/release/cfd "$@" 2>/tmp/cfd_bad_arg.txt >/dev/null; then
+            echo "FAIL: cfd $* was accepted"; exit 1
+        fi
+        head -n 1 /tmp/cfd_bad_arg.txt | grep -q -- "$pattern"
+        echo "   cfd $1 $2 $3: $(head -n 1 /tmp/cfd_bad_arg.txt)"
+    }
+    expect_error 'sub-window count' run --algo time-gbf --sub-windows 0 --count 1000
+    expect_error '--sub-windows' size --algo gbf --sub-windows 0
+    expect_error '--sub-windows' size --algo metwally --sub-windows 0
+    expect_error '--window' size --algo tbf --window 1
 fi
 
 if [[ "${1:-}" != "quick" ]]; then
-    echo "==> serve smoke: socket replay, kill -9 mid-stream, checkpoint resume"
-    rm -f /tmp/cfd_serve.sock /tmp/cfd_serve.cfdg /tmp/cfd_serve_run.json /tmp/cfd_serve.json
+    # serve_smoke NAME ARGS...: stream a trace to `cfd serve ARGS` over a
+    # socket, SIGKILL the gateway mid-stream (no drain, no goodbye),
+    # resume from its checkpoint, and require the final report to match
+    # `cfd run ARGS` over the same trace byte for byte.
+    serve_smoke() {
+        local dir=/tmp/cfd_serve_$1; shift
+        rm -rf "$dir" && mkdir -p "$dir"
+        ./target/release/cfd run --trace /tmp/cfd_serve.cfdt "$@" --ads 64 \
+            --report-json "$dir/run.json" >/dev/null
+        ./target/release/cfd serve --listen "unix:$dir/s.sock" "$@" --ads 64 \
+            --checkpoint "$dir/s.cfdg" --checkpoint-every 20000 \
+            --report-json "$dir/serve.json" >/dev/null 2>&1 &
+        SERVE_PID=$!
+        ./target/release/cfd replay-client --connect "unix:$dir/s.sock" \
+            --trace /tmp/cfd_serve.cfdt --limit 100000 --retries 200 >/dev/null
+        # Wait for at least one complete checkpoint (tmp+rename is atomic).
+        while [[ ! -f "$dir/s.cfdg" ]]; do sleep 0.1; done
+        kill -9 "$SERVE_PID"
+        wait "$SERVE_PID" 2>/dev/null || true
+        ./target/release/cfd serve --listen "unix:$dir/s.sock" "$@" --ads 64 \
+            --checkpoint "$dir/s.cfdg" --resume \
+            --report-json "$dir/serve.json" >/dev/null 2>&1 &
+        SERVE_PID=$!
+        ./target/release/cfd replay-client --connect "unix:$dir/s.sock" \
+            --trace /tmp/cfd_serve.cfdt --drain --retries 200 >/dev/null
+        wait "$SERVE_PID"
+        cmp "$dir/run.json" "$dir/serve.json"
+    }
     ./target/release/cfd generate --kind botnet --count 200000 --seed 11 \
         --out /tmp/cfd_serve.cfdt >/dev/null
-    ./target/release/cfd run --trace /tmp/cfd_serve.cfdt --window 8192 --ads 64 \
-        --report-json /tmp/cfd_serve_run.json >/dev/null
-    ./target/release/cfd serve --listen unix:/tmp/cfd_serve.sock --window 8192 --ads 64 \
-        --checkpoint /tmp/cfd_serve.cfdg --checkpoint-every 20000 \
-        --report-json /tmp/cfd_serve.json >/dev/null 2>&1 &
-    SERVE_PID=$!
-    ./target/release/cfd replay-client --connect unix:/tmp/cfd_serve.sock \
-        --trace /tmp/cfd_serve.cfdt --limit 100000 --retries 200 >/dev/null
-    # Wait for at least one complete checkpoint (tmp+rename is atomic),
-    # then SIGKILL the gateway mid-stream: no drain, no goodbye.
-    while [[ ! -f /tmp/cfd_serve.cfdg ]]; do sleep 0.1; done
-    kill -9 "$SERVE_PID"
-    wait "$SERVE_PID" 2>/dev/null || true
-    ./target/release/cfd serve --listen unix:/tmp/cfd_serve.sock --window 8192 --ads 64 \
-        --checkpoint /tmp/cfd_serve.cfdg --resume \
-        --report-json /tmp/cfd_serve.json >/dev/null 2>&1 &
-    SERVE_PID=$!
-    ./target/release/cfd replay-client --connect unix:/tmp/cfd_serve.sock \
-        --trace /tmp/cfd_serve.cfdt --drain --retries 200 >/dev/null
-    wait "$SERVE_PID"
-    cmp /tmp/cfd_serve_run.json /tmp/cfd_serve.json
+    echo "==> serve smoke: socket replay, kill -9 mid-stream, checkpoint resume"
+    serve_smoke count --window 8192
     echo "   kill -9 + --resume replay matches the in-process run byte for byte"
+    echo "==> serve smoke, time window: the same with --algo time-tbf"
+    serve_smoke time --algo time-tbf --window 8192 --unit-ticks 128
+    echo "   time-tbf: kill -9 + --resume replay matches cfd run byte for byte"
+
+    echo "==> serve --resume takes the checkpoint's shard count"
+    dir=/tmp/cfd_serve_shards
+    rm -rf "$dir" && mkdir -p "$dir"
+    ./target/release/cfd serve --listen "unix:$dir/s.sock" --window 8192 --shards 2 \
+        --checkpoint "$dir/s.cfdg" --checkpoint-every 5000 >/dev/null 2>&1 &
+    SERVE_PID=$!
+    ./target/release/cfd replay-client --connect "unix:$dir/s.sock" \
+        --trace /tmp/cfd_serve.cfdt --limit 20000 --drain --retries 200 >/dev/null
+    wait "$SERVE_PID"
+    # A conflicting --shards is a usage error naming the option...
+    if timeout 60 ./target/release/cfd serve --listen "unix:$dir/s.sock" \
+        --checkpoint "$dir/s.cfdg" --resume --shards 4 2>"$dir/err.txt" >/dev/null; then
+        echo "FAIL: --resume accepted --shards 4 over a 2-shard checkpoint"; exit 1
+    fi
+    head -n 1 "$dir/err.txt" | grep -q -- '--shards'
+    echo "   rejected with: $(head -n 1 "$dir/err.txt")"
+    # ...and without it the restored count sizes everything, telemetry
+    # included (`timeout` turns a hang into a failure).
+    timeout 60 ./target/release/cfd serve --listen "unix:$dir/s.sock" \
+        --checkpoint "$dir/s.cfdg" --resume --metrics >"$dir/out.txt" 2>/dev/null &
+    SERVE_PID=$!
+    ./target/release/cfd replay-client --connect "unix:$dir/s.sock" \
+        --trace /tmp/cfd_serve.cfdt --limit 30000 --drain --retries 200 >/dev/null
+    wait "$SERVE_PID"
+    grep -q '(2 shards)' "$dir/out.txt"
+    echo "   $(grep gateway "$dir/out.txt")"
 fi
 
 echo "==> benchmark harness: perfbench builds and self-tests against the workspace"

@@ -52,8 +52,7 @@ pub use entities::{Advertiser, AdvertiserId, Campaign, Registry};
 pub use fraud::{FraudScorer, PublisherScore};
 pub use network::AdNetwork;
 pub use pipeline::{
-    run_sharded_pipeline, run_sharded_pipeline_instrumented, run_sharded_segment,
-    run_timed_sharded_pipeline, run_timed_sharded_pipeline_instrumented, PipelineConfig,
+    run_sharded_pipeline, run_sharded_pipeline_instrumented, run_sharded_segment, PipelineConfig,
     PipelineOutcome, PipelineProgress, SegmentOutcome, SegmentState,
 };
 pub use report::NetworkReport;

@@ -28,7 +28,7 @@
 //!   one-pass algorithms are inherently sequential *per keyspace shard*,
 //!   which is exactly why Theorems 1 & 2 obsess over per-element cost —
 //!   and judge whole batches via
-//!   [`DuplicateDetector::observe_flat_into`] (hash-then-apply
+//!   [`DuplicateDetector::observe_flat_at_into`] (hash-then-apply
 //!   locality). Each worker keeps a private [`FraudScorer`]; the
 //!   partial scorers are [merged](FraudScorer::merge) at join time.
 //! * **Resequencer + billing** restores global stream order from the
@@ -49,15 +49,16 @@
 //! [`crate::network::AdNetwork`] run skips unknown ads entirely, so the
 //! two only agree when every clicked ad is registered.
 //!
-//! ## Timed mode
+//! ## Count and time windows
 //!
-//! [`run_timed_sharded_pipeline`] runs the same machinery over
-//! time-based detectors ([`TimedDuplicateDetector`]): the worker stage
-//! extracts each click's [`Click::tick`] alongside its key and judges
-//! batches through `observe_flat_at_into` instead of the count-based
-//! path. Routing is tick-blind (by key only), so each shard receives its
-//! clicks in global stream order and advances its unit clock exactly as
-//! a sequential run of the same [`ShardedDetector`] would.
+//! One path serves both clocks: the worker stage extracts each click's
+//! [`Click::tick`] alongside its key and hands both to
+//! [`DuplicateDetector::observe_flat_at_into`]. A count window ignores
+//! the ticks; a time window (`TimeTbf`, `TimeGbf`) advances its unit
+//! clock from them. Routing is tick-blind (by key only), so each shard
+//! receives its clicks in global stream order and advances its clock
+//! exactly as a sequential `observe_at` run of the same
+//! [`ShardedDetector`] would.
 
 use crate::billing::{BillingEngine, ClickOutcome, Ledger};
 use crate::entities::Registry;
@@ -68,7 +69,7 @@ use crate::telemetry::PipelineTelemetry;
 use cfd_core::sharded::{ShardRouter, ShardedDetector};
 use cfd_stream::Click;
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
-use cfd_windows::{DuplicateDetector, TimedDuplicateDetector, Verdict};
+use cfd_windows::{DuplicateDetector, Verdict};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,7 +95,7 @@ struct JudgedClick {
 /// The 16-byte click keys ride along in one flat buffer (`KEY_LEN`
 /// bytes per item, same order as `items`) so ingest hashes each key
 /// once for routing and the worker feeds the same bytes straight into
-/// [`DuplicateDetector::observe_flat_into`] without rebuilding them.
+/// [`DuplicateDetector::observe_flat_at_into`] without rebuilding them.
 #[derive(Default)]
 struct ClickBatch {
     items: Vec<(u64, Click)>,
@@ -202,9 +203,8 @@ pub struct PipelineOutcome {
     /// The registry with final budget states.
     pub registry: Registry,
     /// Final per-shard detector health samples, taken by each worker at
-    /// shutdown. Empty for the uninstrumented entry points (plain
-    /// [`run_sharded_pipeline`] / [`run_timed_sharded_pipeline`]), which
-    /// place no [`DetectorStats`] bound on the detector.
+    /// shutdown. Empty for the uninstrumented [`run_sharded_pipeline`],
+    /// which places no [`DetectorStats`] bound on the detector.
     pub health: Vec<DetectorHealth>,
 }
 
@@ -371,7 +371,7 @@ impl<D> Instrumentation<D> {
 }
 
 impl<D: DetectorStats> Instrumentation<D> {
-    /// Full instrumentation of count-based shards.
+    /// Full instrumentation.
     fn stats(telemetry: Arc<PipelineTelemetry>) -> Self {
         Self {
             telemetry: Some(telemetry),
@@ -381,75 +381,9 @@ impl<D: DetectorStats> Instrumentation<D> {
     }
 }
 
-impl<D: DetectorStats> Instrumentation<TimedJudge<D>> {
-    /// Full instrumentation of time-based shards.
-    fn timed_stats(telemetry: Arc<PipelineTelemetry>) -> Self {
-        Self {
-            telemetry: Some(telemetry),
-            health_of: |j| Some(j.inner.health()),
-            tenant_health_of: |j| j.inner.tenant_health(),
-        }
-    }
-}
-
 /// Saturating nanosecond count for histogram recording.
 fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// What a shard worker needs from its detector: batch judgment of the
-/// flat keys built at ingest, plus the memory tally for the report.
-/// Count-based detectors get it for free via the blanket impl;
-/// time-based detectors ride in a [`TimedJudge`], which threads each
-/// click's tick through. Keeping this private lets one fan-out engine
-/// serve both modes without a public trait surface.
-trait BatchJudge {
-    /// Judges `KEY_LEN`-stride flat keys built at ingest, writing
-    /// verdicts into `out` (cleared first, capacity reused).
-    fn judge_flat(&mut self, keys: &[u8], items: &[(u64, Click)], out: &mut Vec<Verdict>);
-
-    /// Total detector payload memory, in bits.
-    fn memory_bits(&self) -> usize;
-}
-
-impl<D: DuplicateDetector> BatchJudge for D {
-    fn judge_flat(&mut self, keys: &[u8], _items: &[(u64, Click)], out: &mut Vec<Verdict>) {
-        self.observe_flat_into(keys, KEY_LEN, out);
-    }
-    fn memory_bits(&self) -> usize {
-        DuplicateDetector::memory_bits(self)
-    }
-}
-
-/// Adapter running a [`TimedDuplicateDetector`] behind [`BatchJudge`]:
-/// extracts each click's [`Click::tick`] into a recycled buffer and
-/// forwards to the timed batch path. Deliberately *not* a
-/// `DuplicateDetector` (ticks are mandatory), which is also what keeps
-/// the blanket impl above coherent.
-struct TimedJudge<D> {
-    inner: D,
-    ticks: Vec<u64>,
-}
-
-impl<D> TimedJudge<D> {
-    fn new(inner: D) -> Self {
-        Self {
-            inner,
-            ticks: Vec::new(),
-        }
-    }
-}
-
-impl<D: TimedDuplicateDetector> BatchJudge for TimedJudge<D> {
-    fn judge_flat(&mut self, keys: &[u8], items: &[(u64, Click)], out: &mut Vec<Verdict>) {
-        self.ticks.clear();
-        self.ticks.extend(items.iter().map(|(_, c)| c.tick));
-        self.inner
-            .observe_flat_at_into(keys, KEY_LEN, &self.ticks, out);
-    }
-    fn memory_bits(&self) -> usize {
-        self.inner.memory_bits()
-    }
 }
 
 /// Runs `clicks` through one detector worker thread *per shard* of
@@ -457,8 +391,9 @@ impl<D: TimedDuplicateDetector> BatchJudge for TimedJudge<D> {
 ///
 /// The ingest thread routes every click to its keyspace shard, so each
 /// worker sees exactly the subsequence its shard would see under
-/// single-threaded [`ShardedDetector::observe`] — verdicts are
+/// single-threaded [`ShardedDetector::observe_at`] — verdicts are
 /// identical, and the resequencer makes billing order identical too.
+/// Count and time windows run alike (see the module docs).
 ///
 /// # Panics
 ///
@@ -524,82 +459,13 @@ where
     .into_outcome(name)
 }
 
-/// [`run_sharded_pipeline`] over time-based shards: one worker thread
-/// per shard of `detector`, each judging its keyspace subsequence at
-/// the clicks' own ticks. Routing is tick-blind, so verdicts equal a
-/// sequential [`TimedDuplicateDetector::observe_at`] run of the same
-/// `ShardedDetector`, and the resequencer makes billing order identical
-/// too.
-///
-/// # Panics
-///
-/// Panics if a pipeline stage panics.
-pub fn run_timed_sharded_pipeline<D, I>(
-    detector: ShardedDetector<D>,
-    registry: Registry,
-    clicks: I,
-    config: PipelineConfig,
-    progress: Option<Arc<PipelineProgress>>,
-) -> PipelineOutcome
-where
-    D: TimedDuplicateDetector + Send,
-    I: IntoIterator<Item = Click>,
-{
-    let name = TimedDuplicateDetector::name(&detector);
-    let router = detector.router();
-    run_fanout(
-        detector
-            .into_shards()
-            .into_iter()
-            .map(TimedJudge::new)
-            .collect(),
-        router,
-        SegmentState::new(registry),
-        clicks,
-        config,
-        progress,
-        Instrumentation::off(),
-    )
-    .into_outcome(name)
-}
-
-/// [`run_timed_sharded_pipeline`] with live telemetry; see
-/// [`run_sharded_pipeline_instrumented`] for what flows into
-/// `telemetry`.
-///
-/// # Panics
-///
-/// Panics if `telemetry.shard_count()` differs from the detector's
-/// shard count, or if a pipeline stage panics.
-pub fn run_timed_sharded_pipeline_instrumented<D, I>(
-    detector: ShardedDetector<D>,
-    registry: Registry,
-    clicks: I,
-    config: PipelineConfig,
-    progress: Option<Arc<PipelineProgress>>,
-    telemetry: Arc<PipelineTelemetry>,
-) -> PipelineOutcome
-where
-    D: TimedDuplicateDetector + DetectorStats + Send,
-    I: IntoIterator<Item = Click>,
-{
-    let name = TimedDuplicateDetector::name(&detector);
-    let router = detector.router();
-    run_fanout(
-        detector
-            .into_shards()
-            .into_iter()
-            .map(TimedJudge::new)
-            .collect(),
-        router,
-        SegmentState::new(registry),
-        clicks,
-        config,
-        progress,
-        Instrumentation::timed_stats(telemetry),
-    )
-    .into_outcome(name)
-}
+// Former names of the two entry points from when time windows had their
+// own detector trait; kept only because the repository benchmark links
+// against them.
+#[doc(hidden)]
+pub use run_sharded_pipeline as run_timed_sharded_pipeline;
+#[doc(hidden)]
+pub use run_sharded_pipeline_instrumented as run_timed_sharded_pipeline_instrumented;
 
 /// Settles one judged click against the ledger, tallying fraud savings.
 fn settle_one(
@@ -661,7 +527,7 @@ fn pin_current_thread(_cpu: usize) -> bool {
 /// Ingest hashes each staging block's keys once with the multi-lane
 /// batch hasher ([`ShardRouter::route_flat_into`]) and ships the same
 /// key bytes to the worker inside the batch, where
-/// [`DuplicateDetector::observe_flat_into`] reuses them for probing.
+/// [`DuplicateDetector::observe_flat_at_into`] reuses them for probing.
 #[allow(clippy::too_many_lines)]
 fn run_fanout<D, I>(
     workers: Vec<D>,
@@ -673,7 +539,7 @@ fn run_fanout<D, I>(
     instr: Instrumentation<D>,
 ) -> FanoutResult<D>
 where
-    D: BatchJudge + Send,
+    D: DuplicateDetector + Send,
     I: IntoIterator<Item = Click>,
 {
     let batch = config.batch.max(1);
@@ -737,14 +603,18 @@ where
                 let telem = telemetry.as_deref();
                 let mut scorer = FraudScorer::new();
                 let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch);
+                let mut ticks: Vec<u64> = Vec::with_capacity(batch);
                 while let Some(mut b) = raw_rx.pop() {
                     let t0 = telem.map(|t| {
                         t.shard_queue_depth(idx).sub(1);
                         Instant::now()
                     });
                     // The key bytes were built (and lane-hashed for
-                    // routing) at ingest; probe them directly.
-                    detector.judge_flat(&b.keys, &b.items, &mut verdicts);
+                    // routing) at ingest; probe them directly, each at
+                    // its click's tick.
+                    ticks.clear();
+                    ticks.extend(b.items.iter().map(|(_, c)| c.tick));
+                    detector.observe_flat_at_into(&b.keys, KEY_LEN, &ticks, &mut verdicts);
                     if let Some((t, t0)) = telem.zip(t0) {
                         t.stage_probe_ns().record(duration_ns(t0.elapsed()));
                     }
@@ -1252,27 +1122,33 @@ mod tests {
     }
 
     /// The instrumented entry point works with a one-shard boxed dynamic
-    /// detector (the CLI's usage) and publishes terminal health.
+    /// detector of either clock (the CLI's usage) and publishes terminal
+    /// health.
     #[test]
     fn instrumented_single_shard_accepts_boxed_detector() {
         use cfd_windows::ObservableDetector;
-        let cs = clicks(5_000);
-        let d: Box<dyn ObservableDetector + Send> = Box::new(small_tbf(512, 1 << 13));
-        let metrics = Arc::new(cfd_telemetry::Registry::new());
-        let telemetry = Arc::new(PipelineTelemetry::new(&metrics, 1));
-        let outcome = run_sharded_pipeline_instrumented(
-            one_shard(d),
-            registry(),
-            cs,
-            PipelineConfig::default(),
-            None,
-            Arc::clone(&telemetry),
-        );
-        assert_eq!(outcome.report.clicks, 5_000);
-        assert_eq!(outcome.health.len(), 1);
-        assert_eq!(outcome.health[0].observed_elements, 5_000);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.get_counter("pipeline.ingest.clicks"), Some(5_000));
+        let time_tbf = TimeTbf::new(TimeTbfConfig::new(64, 16, 1 << 14, 6, 4).expect("cfg"));
+        let boxes: [Box<dyn ObservableDetector + Send>; 2] = [
+            Box::new(small_tbf(512, 1 << 13)),
+            Box::new(time_tbf.expect("detector")),
+        ];
+        for d in boxes {
+            let metrics = Arc::new(cfd_telemetry::Registry::new());
+            let telemetry = Arc::new(PipelineTelemetry::new(&metrics, 1));
+            let outcome = run_sharded_pipeline_instrumented(
+                one_shard(d),
+                registry(),
+                clicks(5_000),
+                PipelineConfig::default(),
+                None,
+                Arc::clone(&telemetry),
+            );
+            assert_eq!(outcome.report.clicks, 5_000);
+            assert_eq!(outcome.health.len(), 1);
+            assert_eq!(outcome.health[0].observed_elements, 5_000);
+            let snap = metrics.snapshot();
+            assert_eq!(snap.get_counter("pipeline.ingest.clicks"), Some(5_000));
+        }
     }
 
     /// Worker pinning is advisory: the run completes and tallies
@@ -1300,7 +1176,7 @@ mod tests {
         .expect("sharded timed detector")
     }
 
-    /// The acceptance bar of the timed mode: the parallel timed pipeline
+    /// The acceptance bar for time windows: the parallel pipeline
     /// bills exactly like a sequential `observe_at` run of the same
     /// `ShardedDetector` settled in stream order, for 1 and 4 shards. A
     /// tight budget makes billing order-sensitive, so a resequencer bug
@@ -1321,7 +1197,7 @@ mod tests {
             }
             let sequential = NetworkReport::from_ledger("", 0, &engine.into_ledger(), savings);
 
-            let outcome = run_timed_sharded_pipeline(
+            let outcome = run_sharded_pipeline(
                 sharded_time_tbf(shards),
                 registry_with_budget(budget),
                 cs.iter().copied(),
@@ -1350,15 +1226,15 @@ mod tests {
         }
     }
 
-    /// The timed instrumented entry points report per-shard health and
-    /// keep the occupancy-scan budget: health sampling is the only scan.
+    /// The instrumented entry point reports per-shard health of time
+    /// windows too.
     #[test]
     fn timed_instrumented_run_reports_health() {
         let cs = clicks(10_000);
         let shards = 4;
         let metrics = Arc::new(cfd_telemetry::Registry::new());
         let telemetry = Arc::new(PipelineTelemetry::new(&metrics, shards));
-        let outcome = run_timed_sharded_pipeline_instrumented(
+        let outcome = run_sharded_pipeline_instrumented(
             sharded_time_tbf(shards),
             registry(),
             cs.iter().copied(),
@@ -1369,26 +1245,6 @@ mod tests {
         assert_eq!(outcome.health.len(), shards, "one sample per shard");
         let total: u64 = outcome.health.iter().map(|h| h.observed_elements).sum();
         assert_eq!(total, 10_000, "shard healths partition the stream");
-
-        // One-shard boxed form (the CLI's usage).
-        use cfd_windows::TimedObservableDetector;
-        let d: Box<dyn TimedObservableDetector + Send> = Box::new(
-            TimeTbf::new(TimeTbfConfig::new(64, 16, 1 << 14, 6, 4).expect("cfg"))
-                .expect("detector"),
-        );
-        let metrics = Arc::new(cfd_telemetry::Registry::new());
-        let telemetry = Arc::new(PipelineTelemetry::new(&metrics, 1));
-        let outcome = run_timed_sharded_pipeline_instrumented(
-            one_shard(d),
-            registry(),
-            cs.iter().copied(),
-            PipelineConfig::default(),
-            None,
-            Arc::clone(&telemetry),
-        );
-        assert_eq!(outcome.report.clicks, 10_000);
-        assert_eq!(outcome.health.len(), 1);
-        assert_eq!(outcome.health[0].observed_elements, 10_000);
     }
 
     /// The merged scorer of a 4-worker run equals the single scorer of a

@@ -105,8 +105,11 @@ fn swbf_predict(n: usize, total_bits: usize) -> Option<f64> {
     best
 }
 
-/// Resolves `algo = "auto"` for a count window of `n` elements at
-/// `cells_per_element` budget, `k` hashes, and `q` sub-windows.
+/// Resolves `algo = "auto"` for a window of `n` elements at
+/// `cells_per_element` budget, `k` hashes, and `q` sub-windows. A
+/// `time_based` window is sized for `n` expected clicks and resolves
+/// between `time-tbf` and `time-gbf` with the same Bloom arithmetic
+/// (APBF and SWBF have no time-window variant).
 ///
 /// # Panics
 ///
@@ -119,22 +122,31 @@ pub fn auto_select(
     cells_per_element: usize,
     k: usize,
     target_fp: f64,
+    time_based: bool,
 ) -> AutoChoice {
     assert!(
         n > 0 && cells_per_element > 0 && k > 0 && q > 0,
         "bad geometry"
     );
     assert!(target_fp > 0.0 && target_fp < 1.0, "bad target_fp");
+    let [tbf_name, gbf_name] = if time_based {
+        ["time-tbf", "time-gbf"]
+    } else {
+        ["tbf", "gbf"]
+    };
     let mut candidates = vec![
         Candidate {
-            algo: "tbf",
+            algo: tbf_name,
             predicted_fp: tbf::fp_sliding(n * cells_per_element, k, n),
         },
         Candidate {
-            algo: "gbf",
+            algo: gbf_name,
             predicted_fp: gbf::fp_worst_case(n.div_ceil(q) * cells_per_element, k, n, q),
         },
     ];
+    if time_based {
+        return choose(candidates, target_fp);
+    }
     if let Some(fp) = apbf_predict(n, n * cells_per_element) {
         candidates.push(Candidate {
             algo: "apbf",
@@ -148,39 +160,6 @@ pub fn auto_select(
             predicted_fp: fp,
         });
     }
-    choose(candidates, target_fp)
-}
-
-/// Resolves `auto` for a **time** window sized for `n` expected clicks:
-/// the TBF/GBF Bloom arithmetic with the backend names of the
-/// timestamped variants.
-///
-/// # Panics
-///
-/// Panics as [`auto_select`] does.
-#[must_use]
-pub fn auto_select_timed(
-    n: usize,
-    q: usize,
-    cells_per_element: usize,
-    k: usize,
-    target_fp: f64,
-) -> AutoChoice {
-    assert!(
-        n > 0 && cells_per_element > 0 && k > 0 && q > 0,
-        "bad geometry"
-    );
-    assert!(target_fp > 0.0 && target_fp < 1.0, "bad target_fp");
-    let candidates = vec![
-        Candidate {
-            algo: "time-tbf",
-            predicted_fp: tbf::fp_sliding(n * cells_per_element, k, n),
-        },
-        Candidate {
-            algo: "time-gbf",
-            predicted_fp: gbf::fp_worst_case(n.div_ceil(q) * cells_per_element, k, n, q),
-        },
-    ];
     choose(candidates, target_fp)
 }
 
@@ -226,7 +205,7 @@ mod tests {
         // cells/element APBF holds only 14 *bits* per element — not
         // enough for 1% — while GBF (14 filter bits/element) just
         // clears it and outranks the timestamped backends.
-        let c = auto_select(1 << 16, 8, 14, 10, 0.01);
+        let c = auto_select(1 << 16, 8, 14, 10, 0.01, false);
         assert_eq!(c.algo, "gbf", "{c:?}");
         assert!(c.meets_target);
         assert!(c.predicted_fp <= 0.01);
@@ -237,7 +216,7 @@ mod tests {
     fn generous_budget_picks_the_fastest_backend() {
         // At 64 cells/element even APBF's per-bit budget clears 1%,
         // and it is the fastest backend in the shootout ranking.
-        let c = auto_select(1 << 16, 8, 64, 10, 0.01);
+        let c = auto_select(1 << 16, 8, 64, 10, 0.01, false);
         assert_eq!(c.algo, "apbf", "{c:?}");
         assert!(c.meets_target);
     }
@@ -245,7 +224,7 @@ mod tests {
     #[test]
     fn starved_budget_returns_least_bad() {
         // 1 bit per element cannot reach 1e-6 on any backend.
-        let c = auto_select(1 << 16, 8, 1, 2, 1e-6);
+        let c = auto_select(1 << 16, 8, 1, 2, 1e-6, false);
         assert!(!c.meets_target);
         let min = c
             .candidates
@@ -257,8 +236,8 @@ mod tests {
 
     #[test]
     fn predictions_track_the_budget() {
-        let tight = auto_select(1 << 14, 8, 4, 3, 0.5);
-        let roomy = auto_select(1 << 14, 8, 20, 10, 0.5);
+        let tight = auto_select(1 << 14, 8, 4, 3, 0.5, false);
+        let roomy = auto_select(1 << 14, 8, 20, 10, 0.5, false);
         for (t, r) in tight.candidates.iter().zip(&roomy.candidates) {
             assert_eq!(t.algo, r.algo);
             assert!(
@@ -273,7 +252,7 @@ mod tests {
 
     #[test]
     fn timed_auto_resolves_to_a_time_backend() {
-        let c = auto_select_timed(1 << 14, 8, 14, 10, 0.01);
+        let c = auto_select(1 << 14, 8, 14, 10, 0.01, true);
         assert!(c.algo.starts_with("time-"), "{c:?}");
         assert!(c.meets_target);
         assert_eq!(c.candidates.len(), 2);
@@ -283,7 +262,7 @@ mod tests {
     fn throughput_rank_breaks_ties_toward_apbf_over_gbf() {
         // Loose target: many meet it; the winner must be the best-ranked
         // of those that do.
-        let c = auto_select(1 << 16, 8, 14, 10, 0.9);
+        let c = auto_select(1 << 16, 8, 14, 10, 0.9, false);
         let best_rank = c
             .candidates
             .iter()

@@ -131,7 +131,7 @@ use cfd_hash::{Planner, ProbePlan};
 use cfd_stream::{
     AdId, BotnetConfig, BotnetStream, Click, TenantTraffic, TenantTrafficConfig, TENANT_KEY_LEN,
 };
-use cfd_windows::{DetectorStats, DuplicateDetector, TimedDuplicateDetector, Verdict};
+use cfd_windows::{DetectorStats, DuplicateDetector, Verdict};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -198,11 +198,13 @@ fn drive<D: DuplicateDetector + DetectorStats>(d: &mut D, ids: &[&[u8]]) -> RunR
 /// Sharded variant of [`drive`] using the hash-once batch path.
 fn drive_sharded(d: &mut ShardedDetector<Tbf>, ids: &[&[u8]]) -> RunResult {
     assert!(d.hash_once_aligned(), "shards must share the router family");
+    // Count-window shards ignore the ticks the hash-once path carries.
+    let ticks = [0u64; BATCH];
     let start = Instant::now();
     let mut dups = 0u64;
     for chunk in ids.chunks(BATCH) {
         dups += d
-            .observe_batch_hash_once(chunk)
+            .observe_batch_hash_once(chunk, &ticks[..chunk.len()])
             .iter()
             .filter(|&&v| v == Verdict::Duplicate)
             .count() as u64;
@@ -646,7 +648,7 @@ const TIMED_GBF_Q: usize = 8;
 type TimedRunFn = Box<dyn FnMut(&[u8], &[u64]) -> RunResult>;
 
 struct TimedBench {
-    name: &'static str,
+    name: String,
     family: &'static str,
     layout: ProbeLayout,
     mode: &'static str,
@@ -675,7 +677,7 @@ fn time_gbf_cfg(n: usize, layout: ProbeLayout) -> TimeGbfConfig {
 }
 
 /// Per-click `observe_at` loop over the flat key buffer.
-fn drive_timed_seq<D: TimedDuplicateDetector + DetectorStats>(
+fn drive_timed_seq<D: DuplicateDetector + DetectorStats>(
     d: &mut D,
     keys: &[u8],
     ticks: &[u64],
@@ -693,7 +695,7 @@ fn drive_timed_seq<D: TimedDuplicateDetector + DetectorStats>(
 
 /// Hash-once flat-key batch path in [`BATCH`]-sized chunks, verdict
 /// buffer reused across chunks (zero steady-state allocation).
-fn drive_timed_batch<D: TimedDuplicateDetector + DetectorStats>(
+fn drive_timed_batch<D: DuplicateDetector + DetectorStats>(
     d: &mut D,
     keys: &[u8],
     ticks: &[u64],
@@ -712,76 +714,51 @@ fn drive_timed_batch<D: TimedDuplicateDetector + DetectorStats>(
     (ticks.len() as f64 / secs, dups, d.occupancy_scans())
 }
 
+/// Per-click or batch, as `batch` says.
+fn drive_timed<D: DuplicateDetector + DetectorStats>(
+    d: &mut D,
+    keys: &[u8],
+    ticks: &[u64],
+    batch: bool,
+) -> RunResult {
+    if batch {
+        drive_timed_batch(d, keys, ticks)
+    } else {
+        drive_timed_seq(d, keys, ticks)
+    }
+}
+
 fn timed_benches(scale: &ScaleCfg) -> Vec<TimedBench> {
+    let (tbf_n, gbf_n) = (scale.tbf_n, scale.gbf_n);
     let mut out = Vec::new();
-    for layout in [ProbeLayout::Scattered, ProbeLayout::Blocked] {
-        let blocked = layout == ProbeLayout::Blocked;
-        let tbf_n = scale.tbf_n;
-        let gbf_n = scale.gbf_n;
-        out.push(TimedBench {
-            name: if blocked {
-                "time-tbf-blocked-seq"
-            } else {
-                "time-tbf-scattered-seq"
-            },
-            family: "time-tbf",
-            layout,
-            mode: "sequential",
-            run: Box::new(move |keys, ticks| {
-                let mut d = TimeTbf::new(time_tbf_cfg(tbf_n, layout)).expect("time-tbf");
-                drive_timed_seq(&mut d, keys, ticks)
-            }),
-            rates: Vec::new(),
-            duplicates: 0,
-        });
-        out.push(TimedBench {
-            name: if blocked {
-                "time-tbf-blocked-batch"
-            } else {
-                "time-tbf-scattered-batch"
-            },
-            family: "time-tbf",
-            layout,
-            mode: "batch",
-            run: Box::new(move |keys, ticks| {
-                let mut d = TimeTbf::new(time_tbf_cfg(tbf_n, layout)).expect("time-tbf");
-                drive_timed_batch(&mut d, keys, ticks)
-            }),
-            rates: Vec::new(),
-            duplicates: 0,
-        });
-        out.push(TimedBench {
-            name: if blocked {
-                "time-gbf-blocked-seq"
-            } else {
-                "time-gbf-scattered-seq"
-            },
-            family: "time-gbf",
-            layout,
-            mode: "sequential",
-            run: Box::new(move |keys, ticks| {
-                let mut d = TimeGbf::new(time_gbf_cfg(gbf_n, layout)).expect("time-gbf");
-                drive_timed_seq(&mut d, keys, ticks)
-            }),
-            rates: Vec::new(),
-            duplicates: 0,
-        });
-        out.push(TimedBench {
-            name: if blocked {
-                "time-gbf-blocked-batch"
-            } else {
-                "time-gbf-scattered-batch"
-            },
-            family: "time-gbf",
-            layout,
-            mode: "batch",
-            run: Box::new(move |keys, ticks| {
-                let mut d = TimeGbf::new(time_gbf_cfg(gbf_n, layout)).expect("time-gbf");
-                drive_timed_batch(&mut d, keys, ticks)
-            }),
-            rates: Vec::new(),
-            duplicates: 0,
-        });
+    for (layout, layout_name) in [
+        (ProbeLayout::Scattered, "scattered"),
+        (ProbeLayout::Blocked, "blocked"),
+    ] {
+        for family in ["time-tbf", "time-gbf"] {
+            for (mode, suffix) in [("sequential", "seq"), ("batch", "batch")] {
+                let batch = mode == "batch";
+                out.push(TimedBench {
+                    name: format!("{family}-{layout_name}-{suffix}"),
+                    family,
+                    layout,
+                    mode,
+                    run: Box::new(move |keys, ticks| {
+                        if family == "time-tbf" {
+                            let cfg = time_tbf_cfg(tbf_n, layout);
+                            let mut d = TimeTbf::new(cfg).expect("time-tbf");
+                            drive_timed(&mut d, keys, ticks, batch)
+                        } else {
+                            let cfg = time_gbf_cfg(gbf_n, layout);
+                            let mut d = TimeGbf::new(cfg).expect("time-gbf");
+                            drive_timed(&mut d, keys, ticks, batch)
+                        }
+                    }),
+                    rates: Vec::new(),
+                    duplicates: 0,
+                });
+            }
+        }
     }
     out
 }

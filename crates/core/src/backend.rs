@@ -304,16 +304,23 @@ pub(crate) fn observe_flat_into<C: CountCore + ?Sized>(
 }
 
 /// Applies one plan at `tick` through the single-element scratch buffer.
+/// With no tick (a time detector's tick-less `observe`), the plan lands
+/// at the core's current clock — its high-water unit, or unit 0 before
+/// the first observation — which it does not advance.
 pub(crate) fn apply_plan_at<C: TimedCore + ?Sized>(
     core: &mut C,
     bufs: &mut BatchBufs,
     plan: ProbePlan,
-    tick: u64,
+    tick: Option<u64>,
 ) -> Verdict {
     let w = core.probe_width();
     bufs.probe.resize(w, 0);
     core.fill_probes(plan, &mut bufs.probe);
-    let unit = core.advance_to(core.unit_of(tick));
+    let unit = match tick {
+        Some(tick) => core.unit_of(tick),
+        None => core.high_water().unwrap_or(0),
+    };
+    let unit = core.advance_to(unit);
     let stamp_now = core.stamp_of(unit);
     core.apply_probes_at(plan, &bufs.probe, stamp_now)
 }

@@ -1056,7 +1056,7 @@ mod tests {
 
     // ---- time-based detectors ------------------------------------------
 
-    use cfd_windows::{TimedDuplicateDetector, Verdict};
+    use cfd_windows::Verdict;
 
     /// Irregular ticks with occasional regressions, cyclic keys.
     fn timed_stream(range: std::ops::Range<u64>) -> impl Iterator<Item = ([u8; 8], u64)> {
@@ -1078,50 +1078,36 @@ mod tests {
         TimeGbf::new(TimeGbfConfig::new(6, 5, 10, 1_024, 4, 7).expect("cfg")).expect("detector")
     }
 
-    #[test]
-    fn time_tbf_roundtrip_preserves_every_future_verdict() {
-        for probe in [ProbeLayout::Scattered, ProbeLayout::Blocked] {
-            let cfg = TimeTbfConfig::new(32, 10, 2_048, 5, 7)
-                .and_then(|c| c.with_probe(probe))
-                .expect("cfg");
-            let mut original = TimeTbf::new(cfg).expect("detector");
-            for (key, tick) in timed_stream(0..5_000) {
-                original.observe_at(&key, tick);
-            }
-            let buf = original.checkpoint();
-            let mut restored = TimeTbf::restore(&buf).expect("valid checkpoint");
-            assert_eq!(restored.config().probe, probe);
-            for (key, tick) in timed_stream(5_000..15_000) {
-                assert_eq!(
-                    original.observe_at(&key, tick),
-                    restored.observe_at(&key, tick),
-                    "probe {probe:?}, tick {tick}"
-                );
-            }
+    /// Streams the first 5k timed clicks into `original`, round-trips it
+    /// through its checkpoint, and checks the next 10k verdicts agree;
+    /// returns the restored detector.
+    fn assert_timed_roundtrip<D: DuplicateDetector + CheckpointState>(mut original: D) -> D {
+        for (key, tick) in timed_stream(0..5_000) {
+            original.observe_at(&key, tick);
         }
+        let mut restored = D::restore(&original.checkpoint()).expect("valid checkpoint");
+        for (key, tick) in timed_stream(5_000..15_000) {
+            let want = original.observe_at(&key, tick);
+            assert_eq!(restored.observe_at(&key, tick), want, "tick {tick}");
+        }
+        restored
     }
 
     #[test]
-    fn time_gbf_roundtrip_preserves_every_future_verdict() {
+    fn timed_roundtrips_preserve_every_future_verdict() {
         for probe in [ProbeLayout::Scattered, ProbeLayout::Blocked] {
-            let cfg = TimeGbfConfig::new(6, 5, 10, 1_024, 4, 7)
-                .and_then(|c| c.with_probe(probe))
-                .expect("cfg");
-            let mut original = TimeGbf::new(cfg).expect("detector");
-            for (key, tick) in timed_stream(0..5_000) {
-                original.observe_at(&key, tick);
-            }
-            let buf = original.checkpoint();
-            let mut restored = TimeGbf::restore(&buf).expect("valid checkpoint");
-            assert_eq!(restored.config().probe, probe);
-            for (key, tick) in timed_stream(5_000..15_000) {
-                assert_eq!(
-                    original.observe_at(&key, tick),
-                    restored.observe_at(&key, tick),
-                    "probe {probe:?}, tick {tick}"
-                );
-            }
+            let tbf = TimeTbfConfig::new(32, 10, 2_048, 5, 7).and_then(|c| c.with_probe(probe));
+            let tbf = assert_timed_roundtrip(TimeTbf::new(tbf.expect("cfg")).expect("detector"));
+            assert_eq!(tbf.config().probe, probe);
+            let gbf = TimeGbfConfig::new(6, 5, 10, 1_024, 4, 7).and_then(|c| c.with_probe(probe));
+            let gbf = assert_timed_roundtrip(TimeGbf::new(gbf.expect("cfg")).expect("detector"));
+            assert_eq!(gbf.config().probe, probe);
         }
+        let sharded = ShardedDetector::new(17, (0..4).map(|_| time_tbf()).collect());
+        assert_eq!(
+            assert_timed_roundtrip(sharded.expect("sharded")).shard_count(),
+            4
+        );
     }
 
     #[test]
@@ -1203,28 +1189,6 @@ mod tests {
             TimeTbf::restore(&bad_flag),
             Err(CheckpointError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn timed_sharded_roundtrip_preserves_every_future_verdict() {
-        let mut original: ShardedDetector<TimeTbf> = ShardedDetector::from_fn(17, 4, |_| {
-            TimeTbf::new(TimeTbfConfig::new(32, 10, 2_048, 5, 7)?)
-        })
-        .expect("sharded");
-        for (key, tick) in timed_stream(0..5_000) {
-            original.observe_at(&key, tick);
-        }
-        let buf = CheckpointState::checkpoint(&original);
-        let mut restored =
-            <ShardedDetector<TimeTbf> as CheckpointState>::restore(&buf).expect("valid checkpoint");
-        assert_eq!(restored.shard_count(), 4);
-        for (key, tick) in timed_stream(5_000..15_000) {
-            assert_eq!(
-                original.observe_at(&key, tick),
-                restored.observe_at(&key, tick),
-                "tick {tick}"
-            );
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use cfd_bits::InterleavedBitMatrix;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::time::UnitClock;
-use cfd_windows::{TimedDuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
 use std::cell::Cell;
 
 /// Dynamic [`TimeGbf`] state captured by a checkpoint.
@@ -208,7 +208,7 @@ impl TimeGbfConfig {
 ///
 /// ```rust
 /// use cfd_core::gbf_time::{TimeGbf, TimeGbfConfig};
-/// use cfd_windows::{TimedDuplicateDetector, Verdict};
+/// use cfd_windows::{DuplicateDetector, Verdict};
 ///
 /// # fn main() -> Result<(), cfd_core::ConfigError> {
 /// // 6 sub-windows of 10 units of 1000 ticks: a one-minute window.
@@ -485,24 +485,24 @@ impl TimeGbf {
     /// this element regardless of where it was computed.
     pub fn apply_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
         let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan_at(self, &mut bufs, plan, tick);
+        let verdict = backend::apply_plan_at(self, &mut bufs, plan, Some(tick));
         self.bufs = bufs;
         verdict
     }
 
-    /// Replays a batch of precomputed plans, one tick per plan, with the
-    /// same lookahead prefetch as `observe_batch_at` — the stateful half
-    /// of the sharded hash-once path.
-    ///
-    /// # Panics
-    /// Panics if `plans.len() != ticks.len()`.
-    pub fn apply_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(plans.len());
-        self.apply_batch_at_into(plans, ticks, &mut out);
-        out
+    /// The stateful half of a tick-less `observe(id)`: applies `plan` at
+    /// the current clock (the high-water unit, unit 0 before the first
+    /// tick) without advancing it.
+    pub(crate) fn apply_now(&mut self, plan: ProbePlan) -> Verdict {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let verdict = backend::apply_plan_at(self, &mut bufs, plan, None);
+        self.bufs = bufs;
+        verdict
     }
 
-    /// Allocation-free [`TimeGbf::apply_batch_at`]: verdicts go into
+    /// Replays a batch of precomputed plans, one tick per plan, with
+    /// the same lookahead prefetch as `observe_batch_at_into` — the
+    /// stateful half of the sharded hash-once path. Verdicts go into
     /// `out` (cleared first, capacity reused).
     ///
     /// # Panics
@@ -601,7 +601,13 @@ impl TimedCore for TimeGbf {
     }
 }
 
-impl TimedDuplicateDetector for TimeGbf {
+impl DuplicateDetector for TimeGbf {
+    /// A click at the current clock: the last tick seen, no advance.
+    fn observe(&mut self, id: &[u8]) -> Verdict {
+        let plan = self.plan(id);
+        self.apply_now(plan)
+    }
+
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
         let plan = self.plan(id);
         self.apply_at(plan, tick)

@@ -80,7 +80,7 @@ pub use gbf::Gbf;
 pub use gbf_time::{TimeGbf, TimeGbfConfig};
 pub use ops::OpCounters;
 pub use registry::{BackendGeometry, DetectorBackend, MemorySpec};
-pub use sharded::{PlannedDetector, ShardRouter, ShardedDetector, TimedPlannedDetector};
+pub use sharded::{PlannedDetector, ShardRouter, ShardedDetector};
 pub use swbf::{Swbf, SwbfConfig};
 pub use tbf::Tbf;
 pub use tbf_jumping::JumpingTbf;

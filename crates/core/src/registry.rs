@@ -1,8 +1,11 @@
 //! The backend registry: window-filter detectors as named plugins.
 //!
-//! Every count-window detector in this crate — TBF, GBF, jumping-TBF,
-//! APBF, SWBF — shares the same operational contract: it classifies
-//! clicks ([`DuplicateDetector`](cfd_windows::DuplicateDetector)),
+//! Every window-filter detector in this crate — TBF, GBF, jumping-TBF,
+//! APBF, SWBF, the tenant arena, and the time-window TBF/GBF of
+//! §3.1/§4.1 — shares the same operational contract: it classifies
+//! clicks, each at its tick
+//! ([`DuplicateDetector`](cfd_windows::DuplicateDetector); count windows
+//! ignore the tick),
 //! exposes its hashing half for batch and sharded replay
 //! ([`PlannedDetector`]), reports health telemetry
 //! ([`DetectorStats`]), and round-trips
@@ -10,7 +13,9 @@
 //! tagged `CFDS` checkpoint framing. [`DetectorBackend`] names that
 //! contract, and this module maps algorithm names to constructors so
 //! the CLI, the `cfd-adnet` pipeline, and `cfd-bench` all resolve
-//! backends through one table instead of hand-rolled `match` arms.
+//! backends through one table instead of hand-rolled `match` arms. The
+//! sharding rule lives here too ([`BackendEntry::shard_geometry`]), so
+//! every sharded caller splits a window the same way.
 //!
 //! The registry is the single source of truth for which backends
 //! exist: `--algo` help text, the README algorithm table, and the
@@ -33,22 +38,26 @@
 use crate::arena::{ArenaConfig, TenantArena};
 use crate::checkpoint::{
     self, CheckpointError, CheckpointState, KIND_APBF, KIND_ARENA, KIND_GBF, KIND_JUMPING_TBF,
-    KIND_SWBF, KIND_TBF,
+    KIND_SWBF, KIND_TBF, KIND_TIME_GBF, KIND_TIME_TBF,
 };
 use crate::config::{ConfigError, ProbeLayout};
-use crate::sharded::PlannedDetector;
+use crate::sharded::{per_shard_window, PlannedDetector, ShardedDetector};
 use crate::tbf_jumping::JumpingTbfConfig;
-use crate::{Apbf, ApbfConfig, Gbf, GbfConfig, JumpingTbf, Swbf, SwbfConfig, Tbf, TbfConfig};
+use crate::{
+    Apbf, ApbfConfig, Gbf, GbfConfig, JumpingTbf, Swbf, SwbfConfig, Tbf, TbfConfig, TimeGbf,
+    TimeGbfConfig, TimeTbf, TimeTbfConfig,
+};
 use cfd_bits::words::bits_for_value;
 use cfd_hash::{Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::Verdict;
 use std::fmt;
 
-/// The full plugin contract of a count-window detector backend: stream
-/// classification, hash-once batch replay, health telemetry, and tagged
-/// checkpointing. Blanket-implemented for every [`CheckpointState`]
-/// detector, so concrete backends never implement it by hand.
+/// The full plugin contract of a detector backend: stream
+/// classification (count or time window), hash-once batch replay,
+/// health telemetry, and tagged checkpointing. Blanket-implemented for
+/// every [`CheckpointState`] detector, so concrete backends never
+/// implement it by hand.
 ///
 /// `Box<dyn DetectorBackend>` implements the whole contract again
 /// (including [`CheckpointState`], dispatching restores on the
@@ -74,11 +83,19 @@ impl PlannedDetector for Box<dyn DetectorBackend> {
     fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
         (**self).apply_plan(plan)
     }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        (**self).apply_plan_batch(plans)
+    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
+        (**self).apply_plan_at(plan, tick)
     }
     fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
         (**self).apply_plan_batch_into(plans, out);
+    }
+    fn apply_plan_batch_at_into(
+        &mut self,
+        plans: &[ProbePlan],
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        (**self).apply_plan_batch_at_into(plans, ticks, out);
     }
 }
 
@@ -116,10 +133,12 @@ pub enum MemorySpec {
 /// Backends ignore the knobs they do not have: APBF and SWBF derive
 /// their own probe counts from the budget, so `hash_count` only binds
 /// the TBF/GBF family; `sub_windows` only binds the jumping-window
+/// detectors; the three time units only bind the time-window
 /// detectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendGeometry {
-    /// Count-window length `N` in elements.
+    /// Count-window length `N` in elements. For a time window this is
+    /// the expected clicks per window: it only sizes the tables.
     pub window: usize,
     /// Memory to spend, total or per element.
     pub memory: MemorySpec,
@@ -132,11 +151,20 @@ pub struct BackendGeometry {
     pub seed: u64,
     /// Probe index layout (scattered vs. cache-line-blocked).
     pub probe: ProbeLayout,
+    /// `time-tbf` window span, in time units.
+    pub window_units: u64,
+    /// `time-gbf` sub-window span, in time units (the window is
+    /// `sub_windows` of them).
+    pub sub_units: u64,
+    /// Ticks per time unit, the granularity of time-window expiry.
+    pub unit_ticks: u64,
 }
 
 impl BackendGeometry {
     /// A geometry with the CLI's defaults: 8 sub-windows, 10 hashes,
-    /// seed 0, scattered probes.
+    /// seed 0, scattered probes, and a 65 536-tick time window (64
+    /// units, or 8 sub-windows of 8 units, of 1024 ticks) — the same
+    /// span as a 2^16 count window on one-click-per-tick traffic.
     #[must_use]
     pub fn new(window: usize, memory: MemorySpec) -> Self {
         Self {
@@ -146,7 +174,21 @@ impl BackendGeometry {
             hash_count: 10,
             seed: 0,
             probe: ProbeLayout::Scattered,
+            window_units: 64,
+            sub_units: 8,
+            unit_ticks: 1024,
         }
+    }
+
+    /// Returns the geometry with the time-window units replaced:
+    /// `window_units` for `time-tbf`, `sub_units` per sub-window for
+    /// `time-gbf`, and `unit_ticks` ticks per unit for both.
+    #[must_use]
+    pub fn with_time(mut self, window_units: u64, sub_units: u64, unit_ticks: u64) -> Self {
+        self.window_units = window_units;
+        self.sub_units = sub_units;
+        self.unit_ticks = unit_ticks;
+        self
     }
 
     /// Returns the geometry with `sub_windows` replaced.
@@ -192,6 +234,9 @@ pub struct BackendEntry {
     pub kind: u8,
     /// Window model, for generated docs.
     pub window_model: &'static str,
+    /// Whether the window is measured in ticks (§3.1/§4.1) rather than
+    /// arrivals.
+    pub time_based: bool,
     /// One-line summary, for generated docs and help text.
     pub summary: &'static str,
     build: BuildFn,
@@ -227,6 +272,22 @@ impl BackendEntry {
     pub fn restore(&self, buf: &[u8]) -> Result<Box<dyn DetectorBackend>, CheckpointError> {
         (self.restore)(buf)
     }
+
+    /// The geometry each of `shards` keyspace shards is built with: the
+    /// one sharding rule. A count window advances on a shard's own
+    /// arrivals, so each shard gets the window
+    /// [`per_shard_window`]`(N, S)`. A time window is shared wall clock,
+    /// so each shard keeps the full window; only the tables shrink, to
+    /// `N/S` expected clicks.
+    #[must_use]
+    pub fn shard_geometry(&self, geo: &BackendGeometry, shards: usize) -> BackendGeometry {
+        let window = if self.time_based {
+            geo.window.div_ceil(shards.max(1))
+        } else {
+            per_shard_window(geo.window, shards)
+        };
+        BackendGeometry { window, ..*geo }
+    }
 }
 
 /// TBF entries for a memory spec (`M / entry_bits`, Theorem 2).
@@ -244,6 +305,7 @@ static BACKENDS: &[BackendEntry] = &[
         name: "tbf",
         kind: KIND_TBF,
         window_model: "sliding, count-based",
+        time_based: false,
         summary: "timing Bloom filter: O(log N)-bit timestamp cells, incremental sweep (paper §4)",
         build: |geo| {
             let cfg = TbfConfig::builder(geo.window)
@@ -260,6 +322,7 @@ static BACKENDS: &[BackendEntry] = &[
         name: "gbf",
         kind: KIND_GBF,
         window_model: "jumping, count-based, small Q",
+        time_based: false,
         summary: "group Bloom filters: Q sub-window filters probed in one interleaved read (paper §3)",
         build: |geo| {
             let mut b = GbfConfig::builder(geo.window, geo.sub_windows);
@@ -289,6 +352,7 @@ static BACKENDS: &[BackendEntry] = &[
         name: "jumping-tbf",
         kind: KIND_JUMPING_TBF,
         window_model: "jumping, count-based, large Q",
+        time_based: false,
         summary: "TBF over sub-window indices: jumping windows where GBF's Q-lane probe is too wide (§4.1)",
         build: |geo| {
             let q = geo.sub_windows;
@@ -306,6 +370,7 @@ static BACKENDS: &[BackendEntry] = &[
         name: "apbf",
         kind: KIND_APBF,
         window_model: "sliding, count-based",
+        time_based: false,
         summary: "age-partitioned Bloom filter: k+l rotating slices, k-run queries, no timestamps",
         build: |geo| {
             let total = match geo.memory {
@@ -321,6 +386,7 @@ static BACKENDS: &[BackendEntry] = &[
         name: "swbf",
         kind: KIND_SWBF,
         window_model: "sliding, count-based",
+        time_based: false,
         summary: "sliding window Bloom filter: fingerprinted timestamp dictionary with cuckoo-style candidates",
         build: |geo| {
             let total = match geo.memory {
@@ -343,6 +409,7 @@ static BACKENDS: &[BackendEntry] = &[
         name: "arena",
         kind: KIND_ARENA,
         window_model: "sliding, count-based, per tenant",
+        time_based: false,
         summary: "multi-tenant arena: one TBF region per key prefix (advertiser, campaign) in a shared slab, hash-once routing",
         build: |geo| {
             let total = match geo.memory {
@@ -360,9 +427,57 @@ static BACKENDS: &[BackendEntry] = &[
         },
         restore: |buf| Ok(Box::new(TenantArena::restore(buf)?)),
     },
+    BackendEntry {
+        name: "time-tbf",
+        kind: KIND_TIME_TBF,
+        window_model: "sliding, time-based",
+        time_based: true,
+        summary: "TBF with unit timestamps: the last `window_units` time units, whatever the click rate (§4.1)",
+        build: |geo| {
+            let m = match geo.memory {
+                MemorySpec::TotalBits(total) => {
+                    let probe = TimeTbfConfig::new(geo.window_units, geo.unit_ticks, 1, 1, 0)?;
+                    total / probe.entry_bits() as usize
+                }
+                MemorySpec::CellsPerElement(c) => geo.window * c,
+            };
+            let (units, ticks) = (geo.window_units, geo.unit_ticks);
+            let cfg = TimeTbfConfig::new(units, ticks, m, geo.hash_count, geo.seed)?
+                .with_probe(geo.probe)?;
+            Ok(Box::new(TimeTbf::new(cfg)?))
+        },
+        restore: |buf| Ok(Box::new(TimeTbf::restore(buf)?)),
+    },
+    BackendEntry {
+        name: "time-gbf",
+        kind: KIND_TIME_GBF,
+        window_model: "jumping, time-based",
+        time_based: true,
+        summary: "GBF rotating one sub-window filter every `sub_units` time units (§3.1)",
+        build: |geo| {
+            let q = geo.sub_windows;
+            let m = match geo.memory {
+                MemorySpec::TotalBits(total) => total / ((q + 1).div_ceil(64) * 64),
+                // `max(1)`: a zero `Q` reaches `TimeGbfConfig::new`, which
+                // rejects it by name, instead of dividing by zero here.
+                MemorySpec::CellsPerElement(c) => geo.window.div_ceil(q.max(1)) * c,
+            };
+            let cfg = TimeGbfConfig::new(
+                q,
+                geo.sub_units,
+                geo.unit_ticks,
+                m,
+                geo.hash_count,
+                geo.seed,
+            )?
+            .with_probe(geo.probe)?;
+            Ok(Box::new(TimeGbf::new(cfg)?))
+        },
+        restore: |buf| Ok(Box::new(TimeGbf::restore(buf)?)),
+    },
 ];
 
-/// Every registered count-window backend, in documentation order.
+/// Every registered backend, in documentation order.
 #[must_use]
 pub fn backends() -> &'static [BackendEntry] {
     BACKENDS
@@ -418,6 +533,24 @@ pub fn build(
     Ok(entry.build(geo)?)
 }
 
+/// Builds the named backend as `shards` keyspace shards, each from
+/// [`BackendEntry::shard_geometry`], behind one [`ShardedDetector`]
+/// routed with `geo.seed`.
+///
+/// # Errors
+///
+/// As [`build`]; a zero `shards` is [`BackendBuildError::Config`].
+pub fn build_sharded(
+    name: &str,
+    geo: &BackendGeometry,
+    shards: usize,
+) -> Result<ShardedDetector<Box<dyn DetectorBackend>>, BackendBuildError> {
+    let entry = find(name).ok_or_else(|| BackendBuildError::UnknownName(name.to_owned()))?;
+    let shard_geo = entry.shard_geometry(geo, shards);
+    ShardedDetector::from_fn(geo.seed, shards, |_| entry.build(&shard_geo))
+        .map_err(BackendBuildError::Config)
+}
+
 /// Restores whichever backend a checkpoint's kind tag names.
 ///
 /// # Errors
@@ -462,7 +595,7 @@ pub fn markdown_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_windows::DuplicateDetector;
+    use cfd_windows::{DuplicateDetector, WindowSpec};
 
     fn geo() -> BackendGeometry {
         BackendGeometry::new(512, MemorySpec::TotalBits(512 * 64)).with_seed(7)
@@ -475,12 +608,28 @@ mod tests {
                 let mut d = entry.build(&geo().with_probe(probe)).expect(entry.name);
                 assert_eq!(d.observe(b"click-a"), Verdict::Distinct, "{}", entry.name);
                 assert_eq!(d.observe(b"click-a"), Verdict::Duplicate, "{}", entry.name);
-                let n = match d.window() {
-                    cfd_windows::WindowSpec::Sliding { n }
-                    | cfd_windows::WindowSpec::Jumping { n, .. } => n,
-                    other => panic!("{}: unexpected window {other:?}", entry.name),
+                let g = geo();
+                let want = match entry.name {
+                    "time-tbf" => WindowSpec::TimeSliding {
+                        ticks: g.window_units * g.unit_ticks,
+                    },
+                    "time-gbf" => WindowSpec::TimeJumping {
+                        ticks: g.sub_windows as u64 * g.sub_units * g.unit_ticks,
+                        q: g.sub_windows,
+                    },
+                    "gbf" | "jumping-tbf" => WindowSpec::Jumping {
+                        n: 512,
+                        q: g.sub_windows,
+                    },
+                    _ => WindowSpec::Sliding { n: 512 },
                 };
-                assert_eq!(n, 512, "{}", entry.name);
+                assert_eq!(d.window(), want, "{}", entry.name);
+                assert_eq!(
+                    d.window().tick_span().is_some(),
+                    entry.time_based,
+                    "{}",
+                    entry.name
+                );
             }
         }
     }
@@ -546,6 +695,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn zero_sub_windows_are_a_config_error_for_both_gbfs() {
+        let geo = BackendGeometry::new(512, MemorySpec::CellsPerElement(14)).with_sub_windows(0);
+        for name in ["gbf", "time-gbf"] {
+            assert_eq!(
+                build(name, &geo).err(),
+                Some(BackendBuildError::Config(ConfigError::ZeroDimension(
+                    "sub-window count q"
+                ))),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn shards_split_count_windows_but_share_time_windows() {
+        let geo = BackendGeometry::new(4096, MemorySpec::CellsPerElement(14));
+        let tbf = find("tbf").expect("tbf");
+        let time_tbf = find("time-tbf").expect("time-tbf");
+        assert_eq!(
+            tbf.shard_geometry(&geo, 4).window,
+            per_shard_window(4096, 4)
+        );
+        assert_eq!(time_tbf.shard_geometry(&geo, 3).window, 1366);
+        let sharded = build_sharded("time-tbf", &geo, 4).expect("time-tbf shards");
+        assert_eq!(sharded.shard_count(), 4);
+        assert_eq!(
+            sharded.window(),
+            WindowSpec::TimeSliding { ticks: 64 * 1024 }
+        );
+        assert_eq!(
+            sharded.shards()[0].memory_bits(),
+            build(
+                "time-tbf",
+                &BackendGeometry {
+                    window: 1024,
+                    ..geo
+                }
+            )
+            .expect("one shard")
+            .memory_bits()
+        );
+        assert!(build_sharded("tbf", &geo, 0).is_err());
     }
 
     #[test]

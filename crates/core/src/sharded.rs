@@ -19,12 +19,13 @@
 //! parallelism; `cfd-analysis::sharding` gives the closed-form
 //! probability that a global-window duplicate at a given gap is still
 //! covered. Time-based windows are unaffected (all shards share wall
-//! clock).
+//! clock): each shard keeps the full window and only its tables shrink.
+//! [`crate::registry::BackendEntry::shard_geometry`] applies both rules.
 
 use crate::config::ConfigError;
 use cfd_hash::{DoubleHashFamily, HashFamily, HashPair, Planner, ProbePlan};
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
-use cfd_windows::{DuplicateDetector, TimedDuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
 
 /// Routes ids to shards by the high bits of an independent hash.
 ///
@@ -133,6 +134,10 @@ impl ShardRouter {
 /// can be hashed once, routed, and replayed — implemented by the
 /// Bloom-style detectors, not the exact baselines (which need the raw
 /// id, not a hash, to answer exactly).
+///
+/// Like [`DuplicateDetector`], the `_at` replays carry each click's tick;
+/// the provided forms ignore it (count windows), time-window detectors
+/// override them, and wrappers must forward them.
 pub trait PlannedDetector: DuplicateDetector {
     /// The pure hashing half; plans are only portable between detectors
     /// sharing its seed.
@@ -142,144 +147,91 @@ pub trait PlannedDetector: DuplicateDetector {
     /// (`observe(id)` ≡ `apply_plan(probe_planner().plan(id))`).
     fn apply_plan(&mut self, plan: ProbePlan) -> Verdict;
 
-    /// Replays a batch of plans, preserving order; implementations
-    /// override this with a prefetching replay.
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        plans.iter().map(|&p| self.apply_plan(p)).collect()
+    /// Replays one plan at `tick`
+    /// (`observe_at(id, t)` ≡ `apply_plan_at(probe_planner().plan(id), t)`).
+    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
+        let _ = tick;
+        self.apply_plan(plan)
     }
 
-    /// Allocation-free [`PlannedDetector::apply_plan_batch`]: verdicts
-    /// go into `out` (cleared first, capacity reused).
+    /// Replays a batch of plans, preserving order, into `out` (cleared
+    /// first, capacity reused); implementations override this with a
+    /// prefetching replay.
     fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
         out.clear();
         for &p in plans {
             out.push(self.apply_plan(p));
         }
     }
-}
 
-impl PlannedDetector for crate::Tbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
-}
-
-impl PlannedDetector for crate::Gbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
+    /// [`PlannedDetector::apply_plan_batch_into`] with one tick per plan.
+    ///
+    /// # Panics
+    /// Implementations may panic if `plans.len() != ticks.len()`.
+    fn apply_plan_batch_at_into(
+        &mut self,
+        plans: &[ProbePlan],
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        debug_assert_eq!(plans.len(), ticks.len(), "one tick per plan");
+        self.apply_plan_batch_into(plans, out);
     }
 }
 
-impl PlannedDetector for crate::Apbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
+/// The count-window detectors: their inherent `apply*` methods are the
+/// planned replay, and their clock is their own arrival count.
+macro_rules! planned_count_detector {
+    ($($ty:ty),*) => {$(
+        impl PlannedDetector for $ty {
+            fn probe_planner(&self) -> Planner {
+                self.planner()
+            }
+            fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
+                self.apply(plan)
+            }
+            fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
+                self.apply_batch_into(plans, out);
+            }
+        }
+    )*};
 }
 
-impl PlannedDetector for crate::Swbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
+planned_count_detector!(
+    crate::Tbf,
+    crate::Gbf,
+    crate::Apbf,
+    crate::Swbf,
+    crate::tbf_jumping::JumpingTbf
+);
+
+/// The time-window detectors: a tick-less replay is a click at the
+/// current clock, and the `_at` replays advance it.
+macro_rules! planned_time_detector {
+    ($($ty:ty),*) => {$(
+        impl PlannedDetector for $ty {
+            fn probe_planner(&self) -> Planner {
+                self.planner()
+            }
+            fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
+                self.apply_now(plan)
+            }
+            fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
+                self.apply_at(plan, tick)
+            }
+            fn apply_plan_batch_at_into(
+                &mut self,
+                plans: &[ProbePlan],
+                ticks: &[u64],
+                out: &mut Vec<Verdict>,
+            ) {
+                self.apply_batch_at_into(plans, ticks, out);
+            }
+        }
+    )*};
 }
 
-impl PlannedDetector for crate::tbf_jumping::JumpingTbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
-}
-
-/// The timed counterpart of [`PlannedDetector`]: a time-based detector
-/// whose hashing half is a [`Planner`], so the sharded hash-once path
-/// can route and probe from one hash per click while threading each
-/// click's tick through to the stateful replay.
-pub trait TimedPlannedDetector: TimedDuplicateDetector {
-    /// The pure hashing half; plans are only portable between detectors
-    /// sharing its seed.
-    fn probe_planner(&self) -> Planner;
-
-    /// Replays one plan at `tick`
-    /// (`observe_at(id, t)` ≡ `apply_plan_at(probe_planner().plan(id), t)`).
-    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict;
-
-    /// Replays a batch of plans with their ticks, preserving order;
-    /// implementations override this with a prefetching replay.
-    fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        plans
-            .iter()
-            .zip(ticks)
-            .map(|(&p, &t)| self.apply_plan_at(p, t))
-            .collect()
-    }
-}
-
-impl TimedPlannedDetector for crate::TimeTbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
-        self.apply_at(plan, tick)
-    }
-    fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        self.apply_batch_at(plans, ticks)
-    }
-}
-
-impl TimedPlannedDetector for crate::TimeGbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
-        self.apply_at(plan, tick)
-    }
-    fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        self.apply_batch_at(plans, ticks)
-    }
-}
+planned_time_detector!(crate::TimeTbf, crate::TimeGbf);
 
 /// The per-shard count window implementing the `N/S` sizing rule.
 ///
@@ -386,6 +338,72 @@ impl<D> ShardedDetector<D> {
     pub fn into_shards(self) -> Vec<D> {
         self.shards
     }
+
+    /// Rewraps every shard with `f` (e.g. into a wider trait object),
+    /// keeping the router.
+    #[must_use]
+    pub fn map_shards<E>(self, f: impl FnMut(D) -> E) -> ShardedDetector<E> {
+        ShardedDetector {
+            router: self.router,
+            router_seed: self.router_seed,
+            shards: self.shards.into_iter().map(f).collect(),
+        }
+    }
+}
+
+/// The scatter/replay/gather scheme every multi-shard batch path
+/// shares. Each item is routed to its shard's bucket — its tick, when
+/// `ticks` is given, riding in a parallel bucket — keeping per-shard
+/// stream order, which is all a shard's window semantics depend on.
+/// Each shard replays its bucket once, then the verdicts are gathered
+/// back into input order: the i-th item's verdict is the next
+/// unconsumed verdict of its shard's bucket, because bucketing
+/// preserved relative order. `replay` sees an empty tick slice when
+/// `ticks` is `None`.
+fn scatter_gather<D, T: Copy>(
+    shards: &mut [D],
+    items: &[T],
+    ticks: Option<&[u64]>,
+    route: impl Fn(&T) -> usize,
+    mut replay: impl FnMut(&mut D, &[T], &[u64], &mut Vec<Verdict>),
+    out: &mut Vec<Verdict>,
+) {
+    if let Some(ticks) = ticks {
+        assert_eq!(items.len(), ticks.len(), "one tick per id");
+    }
+    if shards.len() == 1 {
+        replay(&mut shards[0], items, ticks.unwrap_or(&[]), out);
+        return;
+    }
+    let shard_count = shards.len();
+    let cap = items.len() / shard_count + 1;
+    let mut item_buckets: Vec<Vec<T>> = vec![Vec::with_capacity(cap); shard_count];
+    let mut tick_buckets: Vec<Vec<u64>> = vec![Vec::new(); shard_count];
+    let mut routes = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let shard = route(item);
+        item_buckets[shard].push(*item);
+        if let Some(ticks) = ticks {
+            tick_buckets[shard].push(ticks[i]);
+        }
+        routes.push(shard);
+    }
+    let mut verdicts: Vec<Vec<Verdict>> = vec![Vec::new(); shard_count];
+    for (((shard, bucket), ticks), v) in shards
+        .iter_mut()
+        .zip(&item_buckets)
+        .zip(&tick_buckets)
+        .zip(&mut verdicts)
+    {
+        replay(shard, bucket, ticks, v);
+    }
+    let mut cursor = vec![0usize; shard_count];
+    out.clear();
+    out.extend(routes.into_iter().map(|shard| {
+        let v = verdicts[shard][cursor[shard]];
+        cursor[shard] += 1;
+        v
+    }));
 }
 
 impl<D: PlannedDetector> ShardedDetector<D> {
@@ -398,48 +416,36 @@ impl<D: PlannedDetector> ShardedDetector<D> {
         self.shards.iter().all(|s| s.probe_planner().seed() == seed)
     }
 
-    /// [`DuplicateDetector::observe_batch`] hashing each id exactly
+    /// [`DuplicateDetector::observe_batch_at`] hashing each id exactly
     /// once: the router pair doubles as the probe plan, removing the
     /// second hash evaluation per click that the generic path pays
-    /// (`route` hashes, then each shard's `observe_batch` hashes
-    /// again). Verdicts are identical to `observe_batch` when the
+    /// (`route` hashes, then each shard's batch path hashes again).
+    /// Each click's tick rides along into its shard's bucket, so a
+    /// time-window shard's clock advances exactly as sequential
+    /// `observe_at` calls would drive it; count-window shards ignore
+    /// the ticks. Verdicts are identical to `observe_batch_at` when the
     /// shards are router-aligned; on misaligned shards this falls back
     /// to the two-hash path rather than probing with a foreign family.
-    pub fn observe_batch_hash_once(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
+    ///
+    /// # Panics
+    /// Panics if `ids.len() != ticks.len()`.
+    pub fn observe_batch_hash_once(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
         if !self.hash_once_aligned() {
-            return self.observe_batch(ids);
+            return self.observe_batch_at(ids, ticks);
         }
         let planner = self.router.planner();
-        if self.shards.len() == 1 {
-            let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
-            return self.shards[0].apply_plan_batch(&plans);
-        }
-        // Same bucket/replay/gather scheme as `observe_batch`, but the
-        // buckets hold plans instead of ids.
-        let shard_count = self.shards.len();
-        let cap = ids.len() / shard_count + 1;
-        let mut buckets: Vec<Vec<ProbePlan>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for id in ids {
-            let plan = planner.plan(id);
-            let shard = self.router.route_pair(plan.pair());
-            buckets[shard].push(plan);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = buckets
-            .iter()
-            .zip(&mut self.shards)
-            .map(|(bucket, shard)| shard.apply_plan_batch(bucket))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        routes
-            .into_iter()
-            .map(|shard| {
-                let v = verdicts[shard][cursor[shard]];
-                cursor[shard] += 1;
-                v
-            })
-            .collect()
+        let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
+        let router = self.router;
+        let mut out = Vec::with_capacity(ids.len());
+        scatter_gather(
+            &mut self.shards,
+            &plans,
+            Some(ticks),
+            |plan| router.route_pair(plan.pair()),
+            |shard, plans, ticks, out| shard.apply_plan_batch_at_into(plans, ticks, out),
+            &mut out,
+        );
+        out
     }
 
     /// [`ShardedDetector::observe_batch_hash_once`] routed by *tenant
@@ -452,210 +458,78 @@ impl<D: PlannedDetector> ShardedDetector<D> {
     /// Falls back to per-id `observe` (same routing) on shards not built
     /// with [`ShardRouter::probe_seed`].
     pub fn observe_batch_tenant_routed(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
+        let router = self.router;
         if !self.hash_once_aligned() {
-            let routes: Vec<usize> = ids
-                .iter()
-                .map(|id| self.router.route_prefix(cfd_hash::tenant_prefix(id)))
-                .collect();
             return ids
                 .iter()
-                .zip(routes)
-                .map(|(id, shard)| self.shards[shard].observe(id))
+                .map(|id| self.shards[router.route_prefix(cfd_hash::tenant_prefix(id))].observe(id))
                 .collect();
         }
-        let planner = self.router.planner();
-        let shard_count = self.shards.len();
-        if shard_count == 1 {
-            let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
-            return self.shards[0].apply_plan_batch(&plans);
-        }
-        let cap = ids.len() / shard_count + 1;
-        let mut buckets: Vec<Vec<ProbePlan>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for id in ids {
-            let plan = planner.plan(id);
-            let shard = self.router.route_prefix(plan.prefix());
-            buckets[shard].push(plan);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = buckets
-            .iter()
-            .zip(&mut self.shards)
-            .map(|(bucket, shard)| shard.apply_plan_batch(bucket))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        routes
-            .into_iter()
-            .map(|shard| {
-                let v = verdicts[shard][cursor[shard]];
-                cursor[shard] += 1;
-                v
-            })
-            .collect()
+        let planner = router.planner();
+        let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
+        let mut out = Vec::with_capacity(ids.len());
+        scatter_gather(
+            &mut self.shards,
+            &plans,
+            None,
+            |plan| router.route_prefix(plan.prefix()),
+            |shard, plans, _, out| shard.apply_plan_batch_into(plans, out),
+            &mut out,
+        );
+        out
     }
 }
 
-impl<D: TimedPlannedDetector> ShardedDetector<D> {
-    /// Whether every timed shard's probe family matches the router's
-    /// (see [`ShardedDetector::hash_once_aligned`]).
-    #[must_use]
-    pub fn timed_hash_once_aligned(&self) -> bool {
-        let seed = self.router.probe_seed();
-        self.shards.iter().all(|s| s.probe_planner().seed() == seed)
-    }
-
-    /// [`TimedDuplicateDetector::observe_batch_at`] hashing each id
-    /// exactly once: the router pair doubles as the probe plan, and each
-    /// click's tick rides along into its shard's bucket so per-shard
-    /// clock order is exactly what sequential `observe_at` calls would
-    /// produce. Falls back to the two-hash path on misaligned shards.
-    pub fn observe_batch_hash_once_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
-        assert_eq!(ids.len(), ticks.len(), "one tick per id");
-        if !self.timed_hash_once_aligned() {
-            return self.observe_batch_at(ids, ticks);
-        }
-        let planner = self.router.planner();
-        if self.shards.len() == 1 {
-            let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
-            return self.shards[0].apply_plan_batch_at(&plans, ticks);
-        }
-        let shard_count = self.shards.len();
-        let cap = ids.len() / shard_count + 1;
-        let mut plan_buckets: Vec<Vec<ProbePlan>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut tick_buckets: Vec<Vec<u64>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for (id, &tick) in ids.iter().zip(ticks) {
-            let plan = planner.plan(id);
-            let shard = self.router.route_pair(plan.pair());
-            plan_buckets[shard].push(plan);
-            tick_buckets[shard].push(tick);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = plan_buckets
-            .iter()
-            .zip(&tick_buckets)
-            .zip(&mut self.shards)
-            .map(|((plans, ticks), shard)| shard.apply_plan_batch_at(plans, ticks))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        routes
-            .into_iter()
-            .map(|shard| {
-                let v = verdicts[shard][cursor[shard]];
-                cursor[shard] += 1;
-                v
-            })
-            .collect()
-    }
-}
-
-/// Timed composition: routing is tick-blind (by id only), and every
-/// shard advances its clock from its *own* clicks' ticks. All shards
-/// share wall clock, so — unlike count windows — the per-shard window
-/// semantics equal the global ones and no `N/S` rescaling applies.
-impl<D: TimedDuplicateDetector> TimedDuplicateDetector for ShardedDetector<D> {
-    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
-        let shard = self.router.route(id);
-        self.shards[shard].observe_at(id, tick)
-    }
-
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        assert_eq!(ids.len(), ticks.len(), "one tick per id");
-        out.clear();
-        if self.shards.len() == 1 {
-            self.shards[0].observe_batch_at_into(ids, ticks, out);
-            return;
-        }
-        // Same bucket/replay/gather scheme as the count-based
-        // `observe_batch`, with each click's tick riding in a parallel
-        // per-shard bucket.
-        let shard_count = self.shards.len();
-        let cap = ids.len() / shard_count + 1;
-        let mut id_buckets: Vec<Vec<&[u8]>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut tick_buckets: Vec<Vec<u64>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for (id, &tick) in ids.iter().zip(ticks) {
-            let shard = self.router.route(id);
-            id_buckets[shard].push(id);
-            tick_buckets[shard].push(tick);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = id_buckets
-            .iter()
-            .zip(&tick_buckets)
-            .zip(&mut self.shards)
-            .map(|((bucket, ticks), shard)| shard.observe_batch_at(bucket, ticks))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        out.extend(routes.into_iter().map(|shard| {
-            let v = verdicts[shard][cursor[shard]];
-            cursor[shard] += 1;
-            v
-        }));
-    }
-
-    fn window(&self) -> WindowSpec {
-        // Time-based windows pass through unscaled: all shards share
-        // wall clock.
-        self.shards[0].window()
-    }
-
-    fn memory_bits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(TimedDuplicateDetector::memory_bits)
-            .sum()
-    }
-
-    fn reset(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset();
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-}
-
+/// Keyspace composition for both clocks: routing is tick-blind (by id
+/// only), and each click's tick rides along to its shard, so a time
+/// window's shard advances its clock from its *own* clicks' ticks
+/// exactly as a sequential run would. Every batch form goes through one
+/// scatter/replay/gather pass.
 impl<D: DuplicateDetector> DuplicateDetector for ShardedDetector<D> {
     fn observe(&mut self, id: &[u8]) -> Verdict {
         let shard = self.router.route(id);
         self.shards[shard].observe(id)
     }
 
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        if self.shards.len() == 1 {
-            return self.shards[0].observe_batch(ids);
-        }
-        // Partition the batch per shard (keeping per-shard stream order,
-        // which is all a shard's window semantics depend on), batch each
-        // shard once, then gather verdicts back into input order: the
-        // i-th id's verdict is the next unconsumed verdict of its
-        // shard's bucket, because bucketing preserved relative order.
-        let shard_count = self.shards.len();
-        let cap = ids.len() / shard_count + 1;
-        let mut buckets: Vec<Vec<&[u8]>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for id in ids {
-            let shard = self.router.route(id);
-            buckets[shard].push(id);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = buckets
-            .iter()
-            .zip(&mut self.shards)
-            .map(|(bucket, shard)| shard.observe_batch(bucket))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        routes
-            .into_iter()
-            .map(|shard| {
-                let v = verdicts[shard][cursor[shard]];
-                cursor[shard] += 1;
-                v
-            })
-            .collect()
+    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        let shard = self.router.route(id);
+        self.shards[shard].observe_at(id, tick)
+    }
+
+    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
+        let router = self.router;
+        scatter_gather(
+            &mut self.shards,
+            ids,
+            None,
+            |id| router.route(id),
+            |shard, ids, _, out| shard.observe_batch_into(ids, out),
+            out,
+        );
+    }
+
+    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
+        let router = self.router;
+        scatter_gather(
+            &mut self.shards,
+            ids,
+            Some(ticks),
+            |id| router.route(id),
+            |shard, ids, ticks, out| shard.observe_batch_at_into(ids, ticks, out),
+            out,
+        );
+    }
+
+    fn observe_flat_at_into(
+        &mut self,
+        keys: &[u8],
+        key_len: usize,
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        assert!(key_len > 0, "key_len must be non-zero");
+        let ids: Vec<&[u8]> = keys.chunks_exact(key_len).collect();
+        self.observe_batch_at_into(&ids, ticks, out);
     }
 
     /// The *approximated global* window: count-based shard windows scale
@@ -868,20 +742,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn observe_batch_matches_observe_across_shards() {
-        let ids: Vec<Vec<u8>> = (0..4_000u64)
-            .map(|i| (i % 900).to_le_bytes().to_vec())
-            .collect();
+    /// Every batch form of both clocks equals per-click `observe_at`
+    /// across shards: ref-slice batches (tick-less too, for a count
+    /// window) and flat keys, in odd-sized chunks.
+    fn assert_batches_match_sequential<D: DuplicateDetector>(
+        make: impl Fn() -> ShardedDetector<D>,
+        ids: &[Vec<u8>],
+        ticks: &[u64],
+    ) {
         let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let mut sequential = sharded_tbf(1 << 10, 4);
-        let mut batched = sharded_tbf(1 << 10, 4);
-        let want: Vec<Verdict> = id_slices.iter().map(|id| sequential.observe(id)).collect();
-        let mut got = Vec::new();
-        for chunk in id_slices.chunks(97) {
-            got.extend(batched.observe_batch(chunk));
+        let mut sequential = make();
+        let want: Vec<Verdict> = id_slices
+            .iter()
+            .zip(ticks)
+            .map(|(id, &t)| sequential.observe_at(id, t))
+            .collect();
+        let (mut batched, mut flat) = (make(), make());
+        let (mut got, mut got_flat, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        for (idc, tc) in id_slices.chunks(97).zip(ticks.chunks(97)) {
+            got.extend(batched.observe_batch_at(idc, tc));
+            flat.observe_flat_at_into(&idc.concat(), 8, tc, &mut out);
+            got_flat.extend_from_slice(&out);
         }
         assert_eq!(got, want);
+        assert_eq!(got_flat, want);
+        if sequential.window().tick_span().is_none() {
+            let mut tickless = make();
+            let got: Vec<Verdict> = id_slices
+                .chunks(97)
+                .flat_map(|c| tickless.observe_batch(c))
+                .collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn observe_batch_matches_observe_across_shards() {
+        let (ids, ticks) = timed_stream(6_000);
+        assert_batches_match_sequential(|| sharded_tbf(1 << 10, 4), &ids, &ticks);
+        assert_batches_match_sequential(|| sharded_time_tbf(3, 4), &ids, &ticks);
     }
 
     #[test]
@@ -893,6 +792,11 @@ mod tests {
                 n: per_shard_window(4096, 4) * 4
             }
         );
+        // A time window passes through unscaled: 32 units of 10 ticks
+        // is the global window, not 4x it.
+        let d = sharded_time_tbf(3, 4);
+        assert_eq!(d.window(), WindowSpec::TimeSliding { ticks: 320 });
+        assert_eq!(d.memory_bits(), d.shards()[0].memory_bits() * 4);
     }
 
     #[test]
@@ -924,13 +828,32 @@ mod tests {
         assert!(matches!(d.window(), WindowSpec::Jumping { .. }));
     }
 
+    /// The hash-once path against the generic batch path, one tick per
+    /// id (count windows ignore it): identical verdicts whether the
+    /// shards are router-aligned or — falling back to the two-hash
+    /// path — not.
+    fn assert_hash_once_matches_generic<D: PlannedDetector>(
+        make: impl Fn() -> ShardedDetector<D>,
+        aligned: bool,
+    ) {
+        let (mut generic, mut hash_once) = (make(), make());
+        assert_eq!(hash_once.hash_once_aligned(), aligned);
+        let (ids, ticks) = timed_stream(6_000);
+        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for (idc, tc) in id_slices.chunks(97).zip(ticks.chunks(97)) {
+            want.extend(generic.observe_batch_at(idc, tc));
+            got.extend(hash_once.observe_batch_hash_once(idc, tc));
+        }
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn hash_once_matches_generic_batch_when_aligned() {
-        let (n, shards) = (1 << 10, 4);
-        let make = |router: &ShardRouter| {
-            let seed = router.probe_seed();
+        let (n_s, shards) = (per_shard_window(1 << 10, 4), 4);
+        let seed = ShardRouter::new(3, shards).expect("router").probe_seed();
+        let tbf = || {
             ShardedDetector::from_fn(3, shards, |_| {
-                let n_s = per_shard_window(n, shards);
                 Tbf::new(
                     TbfConfig::builder(n_s)
                         .entries(n_s * 14)
@@ -941,22 +864,14 @@ mod tests {
             })
             .expect("valid sharded tbf")
         };
-        let router = ShardRouter::new(3, shards).expect("router");
-        let mut generic = make(&router);
-        let mut hash_once = make(&router);
-        assert!(hash_once.hash_once_aligned());
-
-        let ids: Vec<Vec<u8>> = (0..6_000u64)
-            .map(|i| (i % 900).to_le_bytes().to_vec())
-            .collect();
-        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let mut want = Vec::new();
-        let mut got = Vec::new();
-        for chunk in id_slices.chunks(97) {
-            want.extend(generic.observe_batch(chunk));
-            got.extend(hash_once.observe_batch_hash_once(chunk));
-        }
-        assert_eq!(got, want);
+        assert_hash_once_matches_generic(tbf, true);
+        let time_gbf = || {
+            ShardedDetector::from_fn(3, shards, |_| {
+                TimeGbf::new(TimeGbfConfig::new(6, 5, 10, 1 << 12, 4, seed)?)
+            })
+            .expect("valid sharded time-gbf")
+        };
+        assert_hash_once_matches_generic(time_gbf, true);
     }
 
     #[test]
@@ -964,16 +879,8 @@ mod tests {
         // Shards seeded independently of the router: the fast path must
         // refuse to probe with the router family and instead produce
         // the same verdicts as the generic path.
-        let mut a = sharded_tbf(1 << 10, 4);
-        let mut b = sharded_tbf(1 << 10, 4);
-        assert!(!a.hash_once_aligned());
-        let ids: Vec<Vec<u8>> = (0..3_000u64)
-            .map(|i| (i % 500).to_le_bytes().to_vec())
-            .collect();
-        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let want = a.observe_batch(&id_slices);
-        let got = b.observe_batch_hash_once(&id_slices);
-        assert_eq!(got, want);
+        assert_hash_once_matches_generic(|| sharded_tbf(1 << 10, 4), false);
+        assert_hash_once_matches_generic(|| sharded_time_tbf(5, 4), false);
     }
 
     #[test]
@@ -1014,24 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_sharded_batch_matches_sequential() {
-        let (ids, ticks) = timed_stream(6_000);
-        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let mut sequential = sharded_time_tbf(3, 4);
-        let mut batched = sharded_time_tbf(3, 4);
-        let want: Vec<Verdict> = id_slices
-            .iter()
-            .zip(&ticks)
-            .map(|(id, &t)| sequential.observe_at(id, t))
-            .collect();
-        let mut got = Vec::new();
-        for (idc, tc) in id_slices.chunks(97).zip(ticks.chunks(97)) {
-            got.extend(batched.observe_batch_at(idc, tc));
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn timed_sharded_zero_false_negatives_vs_global_oracle() {
         // Time-based windows are shard-transparent: all shards share
         // wall clock, so one *global* exact timed oracle is the ground
@@ -1045,46 +934,6 @@ mod tests {
                 assert_eq!(got, Verdict::Duplicate, "false negative at element {i}");
             }
         }
-    }
-
-    #[test]
-    fn timed_hash_once_matches_generic_batch_when_aligned() {
-        let shards = 4;
-        let router = ShardRouter::new(3, shards).expect("router");
-        let seed = router.probe_seed();
-        let make = || {
-            ShardedDetector::from_fn(3, shards, |_| {
-                TimeGbf::new(TimeGbfConfig::new(6, 5, 10, 1 << 12, 4, seed)?)
-            })
-            .expect("valid sharded time-gbf")
-        };
-        let mut generic = make();
-        let mut hash_once = make();
-        assert!(hash_once.timed_hash_once_aligned());
-
-        let (ids, ticks) = timed_stream(6_000);
-        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let mut want = Vec::new();
-        let mut got = Vec::new();
-        for (idc, tc) in id_slices.chunks(97).zip(ticks.chunks(97)) {
-            want.extend(generic.observe_batch_at(idc, tc));
-            got.extend(hash_once.observe_batch_hash_once_at(idc, tc));
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn timed_hash_once_falls_back_when_misaligned() {
-        // Shards seeded independently of the router: the fast path must
-        // refuse the router family and match the generic path instead.
-        let mut a = sharded_time_tbf(5, 4);
-        let mut b = sharded_time_tbf(5, 4);
-        assert!(!a.timed_hash_once_aligned());
-        let (ids, ticks) = timed_stream(3_000);
-        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let want = a.observe_batch_at(&id_slices, &ticks);
-        let got = b.observe_batch_hash_once_at(&id_slices, &ticks);
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1174,17 +1023,5 @@ mod tests {
             })
             .collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn timed_window_passes_through_unscaled() {
-        let d = sharded_time_tbf(3, 4);
-        // 32 units of 10 ticks: the global window, not 4x it.
-        assert_eq!(
-            TimedDuplicateDetector::window(&d),
-            WindowSpec::TimeSliding { ticks: 320 }
-        );
-        let single = TimedDuplicateDetector::memory_bits(&d.shards()[0]);
-        assert_eq!(TimedDuplicateDetector::memory_bits(&d), single * 4);
     }
 }

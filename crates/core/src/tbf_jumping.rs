@@ -347,17 +347,10 @@ impl JumpingTbf {
         verdict
     }
 
-    /// Replays a batch of precomputed plans with the same lookahead
-    /// prefetch as `observe_batch` — the stateful half of the sharded
-    /// hash-once path, where plans were produced while routing.
-    pub fn apply_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(plans.len());
-        self.apply_batch_into(plans, &mut out);
-        out
-    }
-
-    /// Allocation-free [`JumpingTbf::apply_batch`]: verdicts go into
-    /// `out` (cleared first, capacity reused).
+    /// Replays a batch of precomputed plans with lookahead prefetch —
+    /// the stateful half of the sharded hash-once path, where plans were
+    /// produced while routing. Verdicts go into `out` (cleared first,
+    /// capacity reused).
     pub fn apply_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
         let mut bufs = std::mem::take(&mut self.bufs);
         backend::apply_batch_into(self, &mut bufs, plans, out);
@@ -434,12 +427,6 @@ impl DuplicateDetector for JumpingTbf {
     fn observe(&mut self, id: &[u8]) -> Verdict {
         let plan = self.plan(id);
         self.apply(plan)
-    }
-
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(ids.len());
-        self.observe_batch_into(ids, &mut out);
-        out
     }
 
     fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {

@@ -47,7 +47,7 @@ use cfd_bits::PackedIntVec;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::time::UnitClock;
-use cfd_windows::{TimedDuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
 use std::cell::Cell;
 
 /// Dynamic [`TimeTbf`] state captured by a checkpoint.
@@ -196,7 +196,7 @@ impl TimeTbfConfig {
 ///
 /// ```rust
 /// use cfd_core::tbf_time::{TimeTbf, TimeTbfConfig};
-/// use cfd_windows::{TimedDuplicateDetector, Verdict};
+/// use cfd_windows::{DuplicateDetector, Verdict};
 ///
 /// # fn main() -> Result<(), cfd_core::ConfigError> {
 /// // Window = 60 units of 1000 ticks (e.g. a one-minute window in ms).
@@ -445,24 +445,24 @@ impl TimeTbf {
     /// this element regardless of where it was computed.
     pub fn apply_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
         let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan_at(self, &mut bufs, plan, tick);
+        let verdict = backend::apply_plan_at(self, &mut bufs, plan, Some(tick));
         self.bufs = bufs;
         verdict
     }
 
-    /// Replays a batch of precomputed plans, one tick per plan, with the
-    /// same lookahead prefetch as `observe_batch_at` — the stateful half
-    /// of the sharded hash-once path.
-    ///
-    /// # Panics
-    /// Panics if `plans.len() != ticks.len()`.
-    pub fn apply_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(plans.len());
-        self.apply_batch_at_into(plans, ticks, &mut out);
-        out
+    /// The stateful half of a tick-less `observe(id)`: applies `plan` at
+    /// the current clock (the high-water unit, unit 0 before the first
+    /// tick) without advancing it.
+    pub(crate) fn apply_now(&mut self, plan: ProbePlan) -> Verdict {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let verdict = backend::apply_plan_at(self, &mut bufs, plan, None);
+        self.bufs = bufs;
+        verdict
     }
 
-    /// Allocation-free [`TimeTbf::apply_batch_at`]: verdicts go into
+    /// Replays a batch of precomputed plans, one tick per plan, with
+    /// the same lookahead prefetch as `observe_batch_at_into` — the
+    /// stateful half of the sharded hash-once path. Verdicts go into
     /// `out` (cleared first, capacity reused).
     ///
     /// # Panics
@@ -562,7 +562,13 @@ impl TimedCore for TimeTbf {
     }
 }
 
-impl TimedDuplicateDetector for TimeTbf {
+impl DuplicateDetector for TimeTbf {
+    /// A click at the current clock: the last tick seen, no advance.
+    fn observe(&mut self, id: &[u8]) -> Verdict {
+        let plan = self.plan(id);
+        self.apply_now(plan)
+    }
+
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
         let plan = self.plan(id);
         self.apply_at(plan, tick)

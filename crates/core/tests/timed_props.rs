@@ -18,7 +18,7 @@
 
 use cfd_core::config::ProbeLayout;
 use cfd_core::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
-use cfd_windows::{TimedDuplicateDetector, Verdict};
+use cfd_windows::{DuplicateDetector, Verdict};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -61,7 +61,7 @@ fn jittery_stream(len: u64, period: u64, unit_ticks: u64, salt: u64) -> Vec<(Vec
 /// Self-consistent time-sliding false negatives: `valid` maps a key to
 /// the unit the detector last validated it in; the entry expires when
 /// the current unit is `window_units` or more past it.
-fn sliding_false_negatives<D: TimedDuplicateDetector>(
+fn sliding_false_negatives<D: DuplicateDetector>(
     detector: &mut D,
     window_units: u64,
     unit_ticks: u64,
@@ -87,7 +87,7 @@ fn sliding_false_negatives<D: TimedDuplicateDetector>(
 
 /// Self-consistent time-jumping false negatives: a validated key stays
 /// known for its own sub-window plus the `q - 1` following ones.
-fn jumping_false_negatives<D: TimedDuplicateDetector>(
+fn jumping_false_negatives<D: DuplicateDetector>(
     detector: &mut D,
     q: u64,
     sub_units: u64,

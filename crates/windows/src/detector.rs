@@ -30,7 +30,7 @@ impl Verdict {
     }
 }
 
-/// A one-pass duplicate detector over a count-based decaying window.
+/// A one-pass duplicate detector over a decaying window.
 ///
 /// The contract mirrors the paper's problem statement (§1.3): given
 /// limited memory and a window of `N` elements, classify each click of an
@@ -38,17 +38,59 @@ impl Verdict {
 /// with one-sided error: the GBF/TBF detectors guarantee *zero false
 /// negatives* while allowing a small false-positive rate.
 ///
+/// # Clocks
+///
+/// Every click may carry a *tick* (the `_at` methods). A count-based
+/// window's clock is its own arrival count, so count detectors ignore
+/// the tick: the provided `_at` methods forward to [`observe`] /
+/// [`observe_batch_into`] / [`observe_flat_into`]. A time-based window
+/// (§3.1 / §4.1) expires by tick instead, so time detectors override the
+/// `_at` methods and implement [`observe`] as a click at their *current
+/// clock* — the last tick seen (tick 0 before the first), with no
+/// advance. Ticks should be non-decreasing; time detectors document
+/// their policy for out-of-order ticks (the `cfd-core` detectors clamp
+/// them to the high-water unit and count the event — time never moves
+/// backwards).
+///
+/// Wrappers (boxes, sharded compositions) must forward the `_at`
+/// methods: falling back to the provided forms would judge a time
+/// detector at a frozen clock.
+///
 /// # Error direction
 ///
 /// Following the paper: a *false positive* is a distinct click wrongly
 /// reported as [`Verdict::Duplicate`]; a *false negative* is a duplicate
 /// wrongly reported as [`Verdict::Distinct`]. GBF and TBF have zero false
 /// negatives; exact oracles have zero error in both directions.
+///
+/// [`observe`]: DuplicateDetector::observe
+/// [`observe_batch_into`]: DuplicateDetector::observe_batch_into
+/// [`observe_flat_into`]: DuplicateDetector::observe_flat_into
 pub trait DuplicateDetector {
     /// Classifies the next click of the stream and updates internal state.
     fn observe(&mut self, id: &[u8]) -> Verdict;
 
-    /// Classifies a batch of consecutive clicks, in stream order.
+    /// Classifies the click arriving at `tick`. Count detectors ignore
+    /// the tick.
+    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        let _ = tick;
+        self.observe(id)
+    }
+
+    /// Classifies a batch of consecutive clicks, in stream order:
+    /// [`observe_batch_into`] into a fresh vector.
+    ///
+    /// [`observe_batch_into`]: DuplicateDetector::observe_batch_into
+    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
+        let mut out = Vec::with_capacity(ids.len());
+        self.observe_batch_into(ids, &mut out);
+        out
+    }
+
+    /// Classifies a batch of consecutive clicks, in stream order, writing
+    /// verdicts into `out` (cleared first, capacity reused), so a caller
+    /// recycling the buffer performs no heap allocation once it has grown
+    /// to the batch size.
     ///
     /// Verdict-for-verdict equivalent to calling [`observe`] on each id
     /// in order; implementations may override to hash the whole batch up
@@ -58,21 +100,40 @@ pub trait DuplicateDetector {
     /// batching for free.
     ///
     /// [`observe`]: DuplicateDetector::observe
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        ids.iter().map(|id| self.observe(id)).collect()
-    }
-
-    /// Allocation-free form of [`observe_batch`]: verdicts are written into
-    /// `out` (cleared first, capacity reused), so a caller recycling the
-    /// buffer performs no heap allocation once it has grown to the batch
-    /// size. Verdict-for-verdict equivalent to [`observe_batch`].
-    ///
-    /// [`observe_batch`]: DuplicateDetector::observe_batch
     fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
         out.clear();
         for id in ids {
             out.push(self.observe(id));
         }
+    }
+
+    /// Classifies a batch of consecutive clicks, each with its own tick,
+    /// in stream order: verdict-for-verdict equivalent to calling
+    /// [`observe_at`] on each `(id, tick)` pair in order.
+    ///
+    /// # Panics
+    /// Implementations may panic if `ids.len() != ticks.len()`.
+    ///
+    /// [`observe_at`]: DuplicateDetector::observe_at
+    fn observe_batch_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
+        let mut out = Vec::with_capacity(ids.len());
+        self.observe_batch_at_into(ids, ticks, &mut out);
+        out
+    }
+
+    /// Allocation-free form of [`observe_batch_at`]: verdicts are written
+    /// into `out` (cleared first, capacity reused). Count detectors ignore
+    /// the ticks; time detectors override this to hash the whole batch up
+    /// front and amortize clock-advance work across ticks that share a
+    /// unit.
+    ///
+    /// # Panics
+    /// Implementations may panic if `ids.len() != ticks.len()`.
+    ///
+    /// [`observe_batch_at`]: DuplicateDetector::observe_batch_at
+    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
+        debug_assert_eq!(ids.len(), ticks.len(), "one tick per id");
+        self.observe_batch_into(ids, out);
     }
 
     /// Classifies a batch of fixed-stride ids packed end-to-end in a flat
@@ -102,6 +163,26 @@ pub trait DuplicateDetector {
         }
     }
 
+    /// [`observe_flat_into`] with one tick per key — what the pipeline's
+    /// shard workers call for every detector. Count detectors ignore the
+    /// ticks.
+    ///
+    /// # Panics
+    /// Implementations may panic if `key_len == 0`, `keys.len()` is not a
+    /// multiple of `key_len`, or the key count differs from `ticks.len()`.
+    ///
+    /// [`observe_flat_into`]: DuplicateDetector::observe_flat_into
+    fn observe_flat_at_into(
+        &mut self,
+        keys: &[u8],
+        key_len: usize,
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        debug_assert_eq!(keys.len() / key_len.max(1), ticks.len(), "one tick per key");
+        self.observe_flat_into(keys, key_len, out);
+    }
+
     /// The window model this detector approximates.
     fn window(&self) -> WindowSpec;
 
@@ -115,21 +196,35 @@ pub trait DuplicateDetector {
     fn name(&self) -> &'static str;
 }
 
-/// Boxed detectors forward the whole contract, so trait objects compose
-/// with generic wrappers (e.g. `ShardedDetector<Box<dyn DuplicateDetector>>`
-/// in the CLI, where the algorithm is chosen at runtime).
+/// Boxed detectors forward the whole contract — the `_at` methods
+/// included, so a boxed time detector keeps its clock — and trait
+/// objects compose with generic wrappers (e.g.
+/// `ShardedDetector<Box<dyn DuplicateDetector>>` in the CLI, where the
+/// algorithm is chosen at runtime).
 impl<D: DuplicateDetector + ?Sized> DuplicateDetector for Box<D> {
     fn observe(&mut self, id: &[u8]) -> Verdict {
         (**self).observe(id)
     }
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        (**self).observe_batch(ids)
+    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        (**self).observe_at(id, tick)
     }
     fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
         (**self).observe_batch_into(ids, out)
     }
+    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
+        (**self).observe_batch_at_into(ids, ticks, out)
+    }
     fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
         (**self).observe_flat_into(keys, key_len, out)
+    }
+    fn observe_flat_at_into(
+        &mut self,
+        keys: &[u8],
+        key_len: usize,
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        (**self).observe_flat_at_into(keys, key_len, ticks, out)
     }
     fn window(&self) -> WindowSpec {
         (**self).window()
@@ -157,140 +252,6 @@ impl<D: DuplicateDetector + ?Sized> DuplicateDetector for Box<D> {
 pub trait ObservableDetector: DuplicateDetector + cfd_telemetry::DetectorStats {}
 
 impl<D: DuplicateDetector + cfd_telemetry::DetectorStats + ?Sized> ObservableDetector for D {}
-
-/// A one-pass duplicate detector over a *time-based* decaying window.
-///
-/// Each observation carries its tick. Ticks should be non-decreasing;
-/// implementations document their policy for out-of-order ticks (the
-/// `cfd-core` detectors clamp them to the high-water unit and count the
-/// event — time never moves backwards).
-pub trait TimedDuplicateDetector {
-    /// Classifies the click arriving at `tick`.
-    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict;
-
-    /// Classifies a batch of consecutive clicks, each with its own tick,
-    /// in stream order.
-    ///
-    /// Verdict-for-verdict equivalent to calling [`observe_at`] on each
-    /// `(id, tick)` pair in order; implementations may override to hash
-    /// the whole batch up front and amortize clock-advance work across
-    /// ticks that share a unit (the `cfd-core` timed detectors do).
-    ///
-    /// # Panics
-    /// Implementations may panic if `ids.len() != ticks.len()`.
-    ///
-    /// [`observe_at`]: TimedDuplicateDetector::observe_at
-    fn observe_batch_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(ids.len());
-        self.observe_batch_at_into(ids, ticks, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`observe_batch_at`]: verdicts are written
-    /// into `out` (cleared first, capacity reused).
-    ///
-    /// # Panics
-    /// Implementations may panic if `ids.len() != ticks.len()`.
-    ///
-    /// [`observe_batch_at`]: TimedDuplicateDetector::observe_batch_at
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        assert_eq!(ids.len(), ticks.len(), "one tick per id");
-        out.clear();
-        for (id, &tick) in ids.iter().zip(ticks) {
-            out.push(self.observe_at(id, tick));
-        }
-    }
-
-    /// Classifies a batch of fixed-stride ids packed end-to-end in a flat
-    /// buffer (`key_len` bytes each), each with its own tick, writing
-    /// verdicts into `out` (cleared first, capacity reused). The timed
-    /// analogue of [`DuplicateDetector::observe_flat_into`] — what the
-    /// pipeline's timed mode ships between stages.
-    ///
-    /// # Panics
-    /// Implementations may panic if `key_len == 0`, `keys.len()` is not a
-    /// multiple of `key_len`, or the key count differs from `ticks.len()`.
-    fn observe_flat_at_into(
-        &mut self,
-        keys: &[u8],
-        key_len: usize,
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        assert!(key_len > 0, "key_len must be non-zero");
-        assert_eq!(
-            keys.len() % key_len,
-            0,
-            "flat key buffer length {} is not a multiple of key_len {}",
-            keys.len(),
-            key_len
-        );
-        assert_eq!(keys.len() / key_len, ticks.len(), "one tick per key");
-        out.clear();
-        for (id, &tick) in keys.chunks_exact(key_len).zip(ticks) {
-            out.push(self.observe_at(id, tick));
-        }
-    }
-
-    /// The window model this detector approximates.
-    fn window(&self) -> WindowSpec;
-
-    /// Total payload memory, in bits.
-    fn memory_bits(&self) -> usize;
-
-    /// Resets to the empty-stream state, keeping the configuration.
-    fn reset(&mut self);
-
-    /// Human-readable algorithm name for reports and benches.
-    fn name(&self) -> &'static str;
-}
-
-/// Boxed timed detectors forward the whole contract, mirroring the
-/// count-based [`DuplicateDetector`] forwarding impl, so runtime-chosen
-/// timed algorithms compose with generic wrappers.
-impl<D: TimedDuplicateDetector + ?Sized> TimedDuplicateDetector for Box<D> {
-    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
-        (**self).observe_at(id, tick)
-    }
-    fn observe_batch_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
-        (**self).observe_batch_at(ids, ticks)
-    }
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        (**self).observe_batch_at_into(ids, ticks, out)
-    }
-    fn observe_flat_at_into(
-        &mut self,
-        keys: &[u8],
-        key_len: usize,
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        (**self).observe_flat_at_into(keys, key_len, ticks, out)
-    }
-    fn window(&self) -> WindowSpec {
-        (**self).window()
-    }
-    fn memory_bits(&self) -> usize {
-        (**self).memory_bits()
-    }
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-/// A timed duplicate detector that also reports health telemetry — the
-/// time-based counterpart of [`ObservableDetector`], blanket-implemented
-/// for every type satisfying both bounds so the CLI can drive
-/// runtime-chosen timed algorithms through one box.
-pub trait TimedObservableDetector: TimedDuplicateDetector + cfd_telemetry::DetectorStats {}
-
-impl<D: TimedDuplicateDetector + cfd_telemetry::DetectorStats + ?Sized> TimedObservableDetector
-    for D
-{
-}
 
 /// Running tallies of a detector over a stream.
 ///

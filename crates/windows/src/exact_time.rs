@@ -6,17 +6,31 @@
 //! determined valid within the current window — with expiry driven by
 //! time units instead of element counts.
 
-use crate::detector::{TimedDuplicateDetector, Verdict};
+use crate::detector::{DuplicateDetector, Verdict};
 use crate::spec::WindowSpec;
 use crate::time::UnitClock;
 use std::collections::{HashMap, VecDeque};
+
+/// Per-click `observe_at` over a batch: the oracles' batch forms, so
+/// the clock advances click by click instead of falling back to the
+/// tick-ignoring defaults.
+fn observe_each_at<'a, D: DuplicateDetector>(
+    d: &mut D,
+    ids: impl ExactSizeIterator<Item = &'a [u8]>,
+    ticks: &[u64],
+    out: &mut Vec<Verdict>,
+) {
+    assert_eq!(ids.len(), ticks.len(), "one tick per id");
+    out.clear();
+    out.extend(ids.zip(ticks).map(|(id, &tick)| d.observe_at(id, tick)));
+}
 
 /// Exact duplicate detection over a time-based sliding window: the last
 /// `window_units` time units, the current unit included.
 ///
 /// ```rust
 /// use cfd_windows::exact_time::ExactTimeSlidingDedup;
-/// use cfd_windows::{TimedDuplicateDetector, Verdict};
+/// use cfd_windows::{DuplicateDetector, Verdict};
 /// let mut d = ExactTimeSlidingDedup::new(10, 100); // 10 units of 100 ticks
 /// assert_eq!(d.observe_at(b"x", 0), Verdict::Distinct);
 /// assert_eq!(d.observe_at(b"x", 950), Verdict::Duplicate);  // unit 9
@@ -30,6 +44,8 @@ pub struct ExactTimeSlidingDedup {
     valid: HashMap<Vec<u8>, u64>,
     /// Valid clicks in arrival order for O(1) expiry.
     order: VecDeque<(u64, Vec<u8>)>,
+    /// The last tick seen: the clock `observe` judges at.
+    last_tick: u64,
 }
 
 impl ExactTimeSlidingDedup {
@@ -46,6 +62,7 @@ impl ExactTimeSlidingDedup {
             units: UnitClock::new(unit_ticks),
             valid: HashMap::new(),
             order: VecDeque::new(),
+            last_tick: 0,
         }
     }
 
@@ -68,8 +85,14 @@ impl ExactTimeSlidingDedup {
     }
 }
 
-impl TimedDuplicateDetector for ExactTimeSlidingDedup {
+impl DuplicateDetector for ExactTimeSlidingDedup {
+    /// A click at the last tick seen.
+    fn observe(&mut self, id: &[u8]) -> Verdict {
+        self.observe_at(id, self.last_tick)
+    }
+
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        self.last_tick = tick;
         let unit = self.units.unit_of(tick);
         let oldest_active = unit.saturating_sub(self.window_units - 1);
         self.expire_before(oldest_active);
@@ -81,6 +104,21 @@ impl TimedDuplicateDetector for ExactTimeSlidingDedup {
         self.valid.insert(id.to_vec(), unit);
         self.order.push_back((unit, id.to_vec()));
         Verdict::Distinct
+    }
+
+    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
+        observe_each_at(self, ids.iter().copied(), ticks, out);
+    }
+
+    fn observe_flat_at_into(
+        &mut self,
+        keys: &[u8],
+        key_len: usize,
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        assert!(key_len > 0, "key_len must be non-zero");
+        observe_each_at(self, keys.chunks_exact(key_len), ticks, out);
     }
 
     fn window(&self) -> WindowSpec {
@@ -101,6 +139,7 @@ impl TimedDuplicateDetector for ExactTimeSlidingDedup {
     fn reset(&mut self) {
         self.valid.clear();
         self.order.clear();
+        self.last_tick = 0;
     }
 
     fn name(&self) -> &'static str {
@@ -118,6 +157,8 @@ pub struct ExactTimeJumpingDedup {
     units: UnitClock,
     /// (sub-window index, valid ids inserted during it), newest last.
     subs: VecDeque<(u64, std::collections::HashSet<Vec<u8>>)>,
+    /// The last tick seen: the clock `observe` judges at.
+    last_tick: u64,
 }
 
 impl ExactTimeJumpingDedup {
@@ -134,6 +175,7 @@ impl ExactTimeJumpingDedup {
             sub_units,
             units: UnitClock::new(unit_ticks),
             subs: VecDeque::new(),
+            last_tick: 0,
         }
     }
 
@@ -142,8 +184,14 @@ impl ExactTimeJumpingDedup {
     }
 }
 
-impl TimedDuplicateDetector for ExactTimeJumpingDedup {
+impl DuplicateDetector for ExactTimeJumpingDedup {
+    /// A click at the last tick seen.
+    fn observe(&mut self, id: &[u8]) -> Verdict {
+        self.observe_at(id, self.last_tick)
+    }
+
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        self.last_tick = tick;
         let sub = self.sub_of(tick);
         // Drop sub-windows outside [sub - q + 1, sub].
         let oldest = sub.saturating_sub(self.q as u64 - 1);
@@ -169,6 +217,21 @@ impl TimedDuplicateDetector for ExactTimeJumpingDedup {
         Verdict::Distinct
     }
 
+    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
+        observe_each_at(self, ids.iter().copied(), ticks, out);
+    }
+
+    fn observe_flat_at_into(
+        &mut self,
+        keys: &[u8],
+        key_len: usize,
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        assert!(key_len > 0, "key_len must be non-zero");
+        observe_each_at(self, keys.chunks_exact(key_len), ticks, out);
+    }
+
     fn window(&self) -> WindowSpec {
         WindowSpec::TimeJumping {
             ticks: self.q as u64 * self.sub_units * self.units.unit_ticks(),
@@ -186,6 +249,7 @@ impl TimedDuplicateDetector for ExactTimeJumpingDedup {
 
     fn reset(&mut self) {
         self.subs.clear();
+        self.last_tick = 0;
     }
 
     fn name(&self) -> &'static str {
@@ -254,6 +318,54 @@ mod tests {
         j.observe_at(b"a", 0);
         j.reset();
         assert_eq!(j.observe_at(b"a", 0), Verdict::Distinct);
+    }
+
+    #[test]
+    fn observe_judges_at_the_last_tick_seen() {
+        let mut d = ExactTimeSlidingDedup::new(3, 10);
+        assert_eq!(d.observe(b"a"), Verdict::Distinct); // tick 0
+        assert_eq!(d.observe_at(b"b", 25), Verdict::Distinct);
+        assert_eq!(d.observe(b"a"), Verdict::Duplicate); // still unit 2
+        assert_eq!(d.observe_at(b"c", 30), Verdict::Distinct);
+        assert_eq!(d.observe(b"a"), Verdict::Distinct); // unit 3: a@0 expired
+        let mut j = ExactTimeJumpingDedup::new(2, 5, 1);
+        assert_eq!(j.observe_at(b"a", 9), Verdict::Distinct);
+        assert_eq!(j.observe(b"a"), Verdict::Duplicate);
+    }
+
+    /// Batch forms under odd chunking must equal per-click `observe_at`
+    /// on a gappy tick stream (same-tick runs, 37- and 1000-tick gaps).
+    fn batch_forms_match_per_click<D: DuplicateDetector + Clone>(fresh: &D) {
+        let (mut ids, mut ticks, mut t) = (Vec::new(), Vec::new(), 0u64);
+        for i in 0..400u64 {
+            t += [0, 3, 3, 37, 3, if i % 50 == 5 { 1_000 } else { 3 }, 3][i as usize % 7];
+            ids.push(((i * 7919) % 5).to_le_bytes());
+            ticks.push(t);
+        }
+        let mut reference = fresh.clone();
+        let want: Vec<Verdict> = ids
+            .iter()
+            .zip(&ticks)
+            .map(|(id, &t)| reference.observe_at(id, t))
+            .collect();
+        assert!(want.contains(&Verdict::Duplicate) && want.contains(&Verdict::Distinct));
+        for chunk in [1usize, 3, 17, 64, 400] {
+            let (mut batched, mut flat) = (fresh.clone(), fresh.clone());
+            let (mut got_batch, mut got_flat, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            for (id_chunk, tick_chunk) in ids.chunks(chunk).zip(ticks.chunks(chunk)) {
+                let refs: Vec<&[u8]> = id_chunk.iter().map(|id| &id[..]).collect();
+                got_batch.extend(batched.observe_batch_at(&refs, tick_chunk));
+                flat.observe_flat_at_into(&id_chunk.concat(), 8, tick_chunk, &mut out);
+                got_flat.extend_from_slice(&out);
+            }
+            assert_eq!((&got_batch, &got_flat), (&want, &want), "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn batch_forms_advance_the_clock_per_click() {
+        batch_forms_match_per_click(&ExactTimeSlidingDedup::new(4, 10));
+        batch_forms_match_per_click(&ExactTimeJumpingDedup::new(3, 2, 10));
     }
 
     #[test]

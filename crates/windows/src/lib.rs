@@ -7,7 +7,8 @@
 //! * [`spec::WindowSpec`] — the window taxonomy as data.
 //! * [`detector::DuplicateDetector`] — the one-pass contract every
 //!   detector in the suite implements (GBF, TBF, the baselines, and the
-//!   exact oracles).
+//!   exact oracles), count- and time-based alike: each click may carry
+//!   a tick, which count windows ignore.
 //! * [`wrap::WrapCounter`] — modular timestamp arithmetic with the
 //!   `N + C` wraparound range of §4.1.
 //! * [`clock::JumpingClock`] — sub-window rotation bookkeeping for
@@ -30,10 +31,12 @@ pub mod wrap;
 
 pub use cfd_telemetry::{DetectorHealth, DetectorStats};
 pub use clock::JumpingClock;
-pub use detector::{
-    DuplicateDetector, ObservableDetector, StreamSummary, TimedDuplicateDetector,
-    TimedObservableDetector, Verdict,
-};
+pub use detector::{DuplicateDetector, ObservableDetector, StreamSummary, Verdict};
+// Former name of the time-window contract, now merged into
+// `DuplicateDetector`; kept only because the repository benchmark links
+// against it.
+#[doc(hidden)]
+pub use detector::DuplicateDetector as TimedDuplicateDetector;
 pub use exact::{ExactJumpingDedup, ExactLandmarkDedup, ExactSlidingDedup};
 pub use exact_time::{ExactTimeJumpingDedup, ExactTimeSlidingDedup};
 pub use spec::WindowSpec;

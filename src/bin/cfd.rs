@@ -14,25 +14,20 @@
 //! `docs/OBSERVABILITY.md`).
 
 use cfd_adnet::{
-    replay_client, run_sharded_pipeline, run_sharded_pipeline_instrumented,
-    run_timed_sharded_pipeline, run_timed_sharded_pipeline_instrumented, serve, Advertiser,
+    replay_client, run_sharded_pipeline, run_sharded_pipeline_instrumented, serve, Advertiser,
     AdvertiserId, Campaign, ClientConfig, DrainControl, Endpoint, FraudScorer, PipelineConfig,
     PipelineTelemetry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState,
 };
 use cfd_core::config::ProbeLayout;
-use cfd_core::registry::{BackendGeometry, DetectorBackend, MemorySpec};
+use cfd_core::registry::{self, BackendGeometry, DetectorBackend, MemorySpec};
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
-use cfd_core::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
 use cfd_stream::{
     read_trace, write_trace, AdId, BotnetConfig, BotnetStream, Click, CoalitionConfig,
     CoalitionStream, CrawlerStream, DuplicateInjector, FlashCrowdConfig, FlashCrowdStream,
     UniqueClickStream,
 };
 use cfd_telemetry::{Registry as TelemetryRegistry, Reporter, SnapshotFormat};
-use cfd_windows::{
-    DuplicateDetector, ExactSlidingDedup, ObservableDetector, StreamSummary,
-    TimedDuplicateDetector, TimedObservableDetector,
-};
+use cfd_windows::{DuplicateDetector, ExactSlidingDedup, ObservableDetector, StreamSummary};
 use click_fraud_detection::{cli, sweep};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -75,7 +70,7 @@ commands:
              --kind unique|duplicates|botnet|coalition|crawler|flashcrowd
              --count <clicks> [--seed <u64>] --out <file>
   detect     run a duplicate detector over a trace
-             --algo {algos}|time-tbf|time-gbf|exact
+             --algo {algos}|exact
              --window <N> [--sub-windows <Q>] [--cells-per-element <c>]
              [--k <hashes>] [--seed <u64>] --trace <file>
              [--shards <S>] [--batch <B>] [--layout scattered|blocked]
@@ -92,7 +87,7 @@ commands:
               expected clicks per window, and shards keep the full time
               window since they share one clock)
   run        drive the concurrent billing pipeline end to end
-             --algo {algos}|time-tbf|time-gbf|exact
+             --algo {algos}|exact
              [--window <N>]
              [--sub-windows <Q>] [--cells-per-element <c>] [--k <hashes>]
              [--seed <u64>] [--shards <S>] [--batch <B>] [--queue <Q>]
@@ -134,10 +129,10 @@ const DETECTOR_OPTS: &[&str] = &[
     "k",
     "seed",
     "layout",
+    "window-units",
+    "sub-units",
+    "unit-ticks",
 ];
-
-/// The time-window geometry options ([`TimedParams::parse`]).
-const TIMED_OPTS: &[&str] = &["window-units", "sub-units", "unit-ticks"];
 
 /// The pipeline, billing and telemetry options `run` and `serve` share.
 const PIPELINE_OPTS: &[&str] = &[
@@ -214,12 +209,10 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("generate") => cmd_generate(&opts(&[&["kind", "count", "seed", "out"]])?),
         Some("detect") => cmd_detect(&opts(&[
             DETECTOR_OPTS,
-            TIMED_OPTS,
             &["shards", "batch", "trace", "score-publishers"],
         ])?),
         Some("run") => cmd_run(&opts(&[
             DETECTOR_OPTS,
-            TIMED_OPTS,
             PIPELINE_OPTS,
             &["trace", "kind", "count"],
         ])?),
@@ -310,159 +303,68 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The detector-shaping options shared by `cmd_detect` and `cmd_run`,
-/// parsed once so the count and timed builders agree on every knob.
+/// The detector-shaping options `detect`, `run` and `serve` share,
+/// parsed once into the registry's geometry so every command builds a
+/// backend the same way.
 struct DetectorSpec {
     algo: String,
-    window: usize,
-    q: usize,
-    cells_per_element: usize,
-    k: usize,
-    seed: u64,
-    layout: ProbeLayout,
+    geo: BackendGeometry,
 }
 
 impl DetectorSpec {
     fn parse(opts: &Opts, algo: &str) -> Result<Self, String> {
+        // A zero window or zero cells-per-element would hand the
+        // registry a zero-bit memory budget (for the arena backend, a
+        // zero budget for every tenant) — reject it up front. The
+        // time-window defaults give a 65 536-tick window either way (64
+        // units, or 8 sub-windows of 8 units, of 1024 ticks): the span
+        // of the default count window on one-click-per-tick workloads.
+        let geo = BackendGeometry::new(
+            opts.positive("window", 1 << 16)?,
+            MemorySpec::CellsPerElement(opts.positive("cells-per-element", 14)?),
+        )
+        .with_sub_windows(opts.parse_num("sub-windows", 8)?)
+        .with_hash_count(opts.parse_num("k", 10)?)
+        .with_seed(opts.parse_num("seed", 0)?)
+        .with_probe(parse_layout(opts)?)
+        .with_time(
+            opts.positive("window-units", 64)? as u64,
+            opts.positive("sub-units", 8)? as u64,
+            opts.positive("unit-ticks", 1024)? as u64,
+        );
         Ok(Self {
             algo: algo.to_owned(),
-            // A zero window or zero cells-per-element would hand the
-            // registry a zero-bit memory budget (for the arena backend,
-            // a zero budget for every tenant) — reject it up front.
-            window: opts.positive("window", 1 << 16)?,
-            q: opts.parse_num("sub-windows", 8)?,
-            cells_per_element: opts.positive("cells-per-element", 14)?,
-            k: opts.parse_num("k", 10)?,
-            seed: opts.parse_num("seed", 0)?,
-            layout: parse_layout(opts)?,
+            geo,
         })
     }
 
-    /// `true` for the time-based-window algorithms, which judge each
-    /// click at its own trace tick rather than by arrival count.
-    fn is_timed(&self) -> bool {
-        matches!(self.algo.as_str(), "time-tbf" | "time-gbf")
-    }
-}
-
-/// The time-window geometry for `time-tbf` / `time-gbf`. The defaults
-/// give a 65 536-tick window either way (64 units, or 8 sub-windows of
-/// 8 units, of 1024 ticks) — the same span as the default count window
-/// on the built-in one-click-per-tick workloads.
-struct TimedParams {
-    window_units: u64,
-    sub_units: u64,
-    unit_ticks: u64,
-}
-
-impl TimedParams {
-    fn parse(opts: &Opts) -> Result<Self, String> {
-        let p = Self {
-            window_units: opts.parse_num("window-units", 64)?,
-            sub_units: opts.parse_num("sub-units", 8)?,
-            unit_ticks: opts.parse_num("unit-ticks", 1024)?,
-        };
-        if p.window_units == 0 || p.sub_units == 0 || p.unit_ticks == 0 {
-            return Err("--window-units, --sub-units, and --unit-ticks must be at least 1".into());
+    /// Builds the `shards` keyspace shards for `cmd_detect` / `cmd_run`,
+    /// routed by `--seed` (the 1-shard case is one worker, trivial
+    /// router). The boxes carry [`ObservableDetector`] so the
+    /// instrumented pipeline can also poll detector health through them.
+    ///
+    /// Every Bloom-style backend resolves through
+    /// [`registry::build_sharded`], which also owns the sharding rule;
+    /// only the `exact` oracle — which needs raw ids, not hashes — is
+    /// built here directly, at the count-window share `N/S`.
+    fn build_sharded(
+        &self,
+        shards: usize,
+    ) -> Result<ShardedDetector<Box<dyn ObservableDetector + Send>>, String> {
+        if self.algo != "exact" {
+            let sharded = registry::build_sharded(&self.algo, &self.geo, shards)
+                .map_err(|e| format!("--algo: {e}"))?;
+            return Ok(sharded.map_shards(|b| Box::new(b) as Box<dyn ObservableDetector + Send>));
         }
-        Ok(p)
-    }
-}
-
-/// Builds one detector of count window `window` for `cmd_detect` /
-/// `cmd_run` (the caller passes the per-shard window when sharding).
-/// The boxed trait object carries [`ObservableDetector`] so the
-/// instrumented pipeline can also poll detector health through it.
-///
-/// Every Bloom-style backend resolves through the registry
-/// (`cfd_core::registry`); only the `exact` oracle — which needs raw
-/// ids, not hashes — is built here directly.
-fn build_detector(
-    spec: &DetectorSpec,
-    window: usize,
-) -> Result<Box<dyn ObservableDetector + Send>, String> {
-    if spec.algo == "exact" {
-        if spec.layout == ProbeLayout::Blocked {
+        if self.geo.probe == ProbeLayout::Blocked {
             return Err("--layout blocked needs a Bloom-style detector, not `exact`".into());
         }
-        return Ok(Box::new(ExactSlidingDedup::new(window)));
+        let n_s = per_shard_window(self.geo.window, shards);
+        let exact = (0..shards)
+            .map(|_| Box::new(ExactSlidingDedup::new(n_s)) as Box<dyn ObservableDetector + Send>)
+            .collect();
+        ShardedDetector::new(self.geo.seed, exact).map_err(|e| e.to_string())
     }
-    let geo = BackendGeometry::new(window, MemorySpec::CellsPerElement(spec.cells_per_element))
-        .with_sub_windows(spec.q)
-        .with_hash_count(spec.k)
-        .with_seed(spec.seed)
-        .with_probe(spec.layout);
-    let backend =
-        cfd_core::registry::build(&spec.algo, &geo).map_err(|e| format!("--algo: {e}"))?;
-    Ok(Box::new(backend))
-}
-
-/// Builds one time-based detector. `window` is the *capacity* (expected
-/// clicks per time window) and only sizes the tables; the window itself
-/// is wall-clock, from `timed`.
-fn build_timed_detector(
-    spec: &DetectorSpec,
-    window: usize,
-    timed: &TimedParams,
-) -> Result<Box<dyn TimedObservableDetector + Send>, String> {
-    let &DetectorSpec {
-        q,
-        cells_per_element,
-        k,
-        seed,
-        layout,
-        ..
-    } = spec;
-    Ok(match spec.algo.as_str() {
-        "time-tbf" => Box::new(
-            TimeTbf::new(
-                TimeTbfConfig::new(
-                    timed.window_units,
-                    timed.unit_ticks,
-                    window * cells_per_element,
-                    k,
-                    seed,
-                )
-                .and_then(|c| c.with_probe(layout))
-                .map_err(|e| e.to_string())?,
-            )
-            .map_err(|e| e.to_string())?,
-        ),
-        "time-gbf" => Box::new(
-            TimeGbf::new(
-                TimeGbfConfig::new(
-                    q,
-                    timed.sub_units,
-                    timed.unit_ticks,
-                    window.div_ceil(q) * cells_per_element,
-                    k,
-                    seed,
-                )
-                .and_then(|c| c.with_probe(layout))
-                .map_err(|e| e.to_string())?,
-            )
-            .map_err(|e| e.to_string())?,
-        ),
-        other => return Err(format!("`{other}` is not a time-based detector")),
-    })
-}
-
-/// Builds the sharded composition of a time-based algorithm. Routing is
-/// tick-blind and every shard shares one wall clock, so each shard keeps
-/// the *full* time window (no `per_shard_window` rescaling); what splits
-/// across shards is memory — each shard's tables are sized for its
-/// `1/S` share of the expected clicks.
-fn build_timed_sharded(
-    spec: &DetectorSpec,
-    timed: &TimedParams,
-    shards: usize,
-) -> Result<ShardedDetector<Box<dyn TimedObservableDetector + Send>>, String> {
-    let capacity = spec.window.div_ceil(shards);
-    let mut inner = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        inner.push(build_timed_detector(spec, capacity, timed)?);
-    }
-    ShardedDetector::new(spec.seed, inner).map_err(|e| e.to_string())
 }
 
 /// Parses `--layout scattered|blocked` (default scattered).
@@ -486,68 +388,18 @@ fn cmd_detect(opts: &Opts) -> Result<(), String> {
     let buf = std::fs::read(&trace_path).map_err(|e| format!("reading {trace_path}: {e}"))?;
     let clicks = read_trace(&buf).map_err(|e| e.to_string())?;
 
-    if spec.is_timed() {
-        let timed = TimedParams::parse(opts)?;
-        return detect_timed(opts, &spec, &timed, shards, batch, &clicks);
-    }
-
-    // With --shards S, the keyspace is split over S detectors of window
-    // N/S (same total memory, soft window edge — see
-    // `cfd_analysis::sharding`); the routing seed is decorrelated from
-    // the probe seed by `ShardRouter` itself.
+    // With --shards S, the keyspace is split over S detectors (a count
+    // window of N/S each — same total memory, soft window edge, see
+    // `cfd_analysis::sharding` — or the full time window with tables
+    // sized for N/S clicks); the routing seed is decorrelated from the
+    // probe seed by `ShardRouter` itself.
     let mut detector: Box<dyn ObservableDetector + Send> = if shards > 1 {
-        let n_s = per_shard_window(spec.window, shards);
-        let mut inner = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            inner.push(build_detector(&spec, n_s)?);
-        }
-        Box::new(ShardedDetector::new(spec.seed, inner).map_err(|e| e.to_string())?)
+        Box::new(spec.build_sharded(shards)?)
     } else {
-        build_detector(&spec, spec.window)?
-    };
-
-    let mut summary = StreamSummary::default();
-    let mut scorer = FraudScorer::new();
-    let mut keys: Vec<[u8; 16]> = Vec::with_capacity(batch);
-    for chunk in clicks.chunks(batch) {
-        keys.clear();
-        keys.extend(chunk.iter().map(Click::key));
-        let refs: Vec<&[u8]> = keys.iter().map(<[u8; 16]>::as_slice).collect();
-        for (click, v) in chunk.iter().zip(detector.observe_batch(&refs)) {
-            summary.record(v);
-            scorer.record(click, v);
-        }
-    }
-
-    println!("detector : {} over {}", detector.name(), detector.window());
-    if shards > 1 {
-        println!(
-            "shards   : {shards} x {algo} with per-shard window {}",
-            per_shard_window(spec.window, shards)
-        );
-    }
-    println!(
-        "memory   : {:.1} KiB",
-        detector.memory_bits() as f64 / 8.0 / 1024.0
-    );
-    print_stream_report(opts, &summary, &scorer);
-    Ok(())
-}
-
-/// The timed flavor of `cmd_detect`: same report, but every click is
-/// judged at its own trace tick through `observe_batch_at`.
-fn detect_timed(
-    opts: &Opts,
-    spec: &DetectorSpec,
-    timed: &TimedParams,
-    shards: usize,
-    batch: usize,
-    clicks: &[Click],
-) -> Result<(), String> {
-    let mut detector: Box<dyn TimedObservableDetector + Send> = if shards > 1 {
-        Box::new(build_timed_sharded(spec, timed, shards)?)
-    } else {
-        build_timed_detector(spec, spec.window, timed)?
+        spec.build_sharded(1)?
+            .into_shards()
+            .pop()
+            .expect("one shard")
     };
 
     let mut summary = StreamSummary::default();
@@ -566,12 +418,16 @@ fn detect_timed(
         }
     }
 
-    println!("detector : {} over {}", detector.name(), detector.window());
+    let window = detector.window();
+    println!("detector : {} over {window}", detector.name());
     if shards > 1 {
-        println!(
-            "shards   : {shards} x {} sharing the global time window",
-            spec.algo
-        );
+        match window.tick_span() {
+            Some(_) => println!("shards   : {shards} x {algo} sharing the global time window"),
+            None => println!(
+                "shards   : {shards} x {algo} with per-shard window {}",
+                per_shard_window(spec.geo.window, shards)
+            ),
+        }
     }
     println!(
         "memory   : {:.1} KiB",
@@ -617,32 +473,12 @@ fn print_stream_report(opts: &Opts, summary: &StreamSummary, scorer: &FraudScore
     }
 }
 
-/// The fixed billing registry behind `--ads N`: one advertiser with an
-/// effectively unlimited budget and campaigns `0..N` at a flat CPC.
-/// `cfd run --ads N` and `cfd serve --ads N` build this identically, so
-/// their `--report-json` outputs are comparable byte for byte.
-fn fixed_registry(ads: u32) -> cfd_adnet::Registry {
-    let mut registry = cfd_adnet::Registry::new();
-    registry.add_advertiser(Advertiser::new(AdvertiserId(1), "advertiser", u64::MAX / 4));
-    for ad in 0..ads {
-        registry
-            .add_campaign(Campaign {
-                ad: AdId(ad),
-                advertiser: AdvertiserId(1),
-                cpc_micros: 100,
-            })
-            .expect("advertiser just registered");
-    }
-    registry
-}
-
-/// A billing registry covering every ad that appears in `clicks`: one
-/// advertiser with an effectively unlimited budget, one campaign per
-/// distinct ad at a flat CPC.
-fn billing_registry(clicks: &[Click]) -> cfd_adnet::Registry {
-    let mut ads: Vec<_> = clicks.iter().map(|c| c.id.ad).collect();
-    ads.sort_unstable();
-    ads.dedup();
+/// A billing registry with one advertiser of effectively unlimited
+/// budget and one campaign per ad in `ads` at a flat CPC. `--ads N`
+/// bills against ads `0..N` in both `cfd run` and `cfd serve`, so their
+/// `--report-json` outputs are comparable byte for byte; without it,
+/// `cfd run` registers every distinct ad its clicks touch.
+fn flat_cpc_registry(ads: impl IntoIterator<Item = AdId>) -> cfd_adnet::Registry {
     let mut registry = cfd_adnet::Registry::new();
     registry.add_advertiser(Advertiser::new(AdvertiserId(1), "advertiser", u64::MAX / 4));
     for ad in ads {
@@ -660,7 +496,7 @@ fn billing_registry(clicks: &[Click]) -> cfd_adnet::Registry {
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let algo = opts.get("algo").unwrap_or("tbf").to_owned();
     let spec = DetectorSpec::parse(opts, &algo)?;
-    let seed = spec.seed;
+    let seed = spec.geo.seed;
     let shards: usize = opts.positive("shards", 4)?;
     let batch: usize = opts.positive("batch", 512)?;
     let queue: usize = opts.positive("queue", 16)?;
@@ -694,34 +530,18 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         SnapshotFormat::Table
     };
 
-    // Count and timed detectors share this scaffold: build the sharded
-    // composition (the 1-shard case still goes through the sharded
-    // pipeline — one worker, trivial router, same telemetry), then
-    // dispatch to the matching pipeline entry point below.
-    enum Runner {
-        Count(ShardedDetector<Box<dyn ObservableDetector + Send>>),
-        Timed(ShardedDetector<Box<dyn TimedObservableDetector + Send>>),
-    }
-
-    let mut timed_window_ticks = None;
-    let runner = if spec.is_timed() {
-        let timed = TimedParams::parse(opts)?;
-        timed_window_ticks = Some(match spec.algo.as_str() {
-            "time-tbf" => timed.window_units * timed.unit_ticks,
-            _ => spec.q as u64 * timed.sub_units * timed.unit_ticks,
-        });
-        Runner::Timed(build_timed_sharded(&spec, &timed, shards)?)
-    } else {
-        let n_s = per_shard_window(spec.window, shards);
-        let mut inner = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            inner.push(build_detector(&spec, n_s)?);
-        }
-        Runner::Count(ShardedDetector::new(seed, inner).map_err(|e| e.to_string())?)
-    };
+    // The 1-shard case still goes through the sharded pipeline — one
+    // worker, trivial router, same telemetry.
+    let detector = spec.build_sharded(shards)?;
+    let window_ticks = detector.window().tick_span();
     let registry = match opts.get("ads") {
-        Some(_) => fixed_registry(opts.parse_num("ads", 64)?),
-        None => billing_registry(&clicks),
+        Some(_) => flat_cpc_registry((0..opts.parse_num("ads", 64)?).map(AdId)),
+        None => {
+            let mut ads: Vec<_> = clicks.iter().map(|c| c.id.ad).collect();
+            ads.sort_unstable();
+            ads.dedup();
+            flat_cpc_registry(ads)
+        }
     };
     let config = PipelineConfig {
         batch,
@@ -744,33 +564,24 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             format,
             on_tick,
         );
-        let outcome = match runner {
-            Runner::Count(d) => {
-                run_sharded_pipeline_instrumented(d, registry, clicks, config, None, telemetry)
-            }
-            Runner::Timed(d) => run_timed_sharded_pipeline_instrumented(
-                d, registry, clicks, config, None, telemetry,
-            ),
-        };
+        let outcome =
+            run_sharded_pipeline_instrumented(detector, registry, clicks, config, None, telemetry);
         reporter.stop(); // final snapshot, even on sub-interval runs
         outcome
     } else {
-        match runner {
-            Runner::Count(d) => run_sharded_pipeline(d, registry, clicks, config, None),
-            Runner::Timed(d) => run_timed_sharded_pipeline(d, registry, clicks, config, None),
-        }
+        run_sharded_pipeline(detector, registry, clicks, config, None)
     };
     let elapsed = started.elapsed();
 
     let r = &outcome.report;
-    match timed_window_ticks {
+    match window_ticks {
         Some(t) => println!(
             "pipeline : {} over a {t}-tick time window ({shards} shards)",
             r.detector
         ),
         None => println!(
             "pipeline : {} over {} ({shards} shards)",
-            r.detector, spec.window
+            r.detector, spec.geo.window
         ),
     }
     println!(
@@ -819,15 +630,19 @@ extern "C" {
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
+/// Sets its flag when dropped, including during a panic unwind.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let endpoint = Endpoint::parse(opts.required("listen")?).map_err(|e| e.to_string())?;
     let algo = opts.get("algo").unwrap_or("tbf").to_owned();
     let spec = DetectorSpec::parse(opts, &algo)?;
-    if spec.is_timed() || algo == "exact" {
-        return Err(
-            "cfd serve checkpoints its detector; pick a registry backend (`cfd algos`)".into(),
-        );
-    }
     let shards: usize = opts.positive("shards", 4)?;
     let batch: usize = opts.positive("batch", 512)?;
     let queue: usize = opts.positive("queue", 16)?;
@@ -836,11 +651,22 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let checkpoint = opts.get("checkpoint").map(PathBuf::from);
     let checkpoint_every: u64 = opts.parse_num("checkpoint-every", 0)?;
 
-    // A restart has only the checkpoint file: detector tables, billing
-    // ledger, scorer tallies, and the resume position all come from it.
+    // A restart has only the checkpoint file: detector tables, shard
+    // count, billing ledger, scorer tallies, and the resume position
+    // all come from it.
     let state: ServerState<Box<dyn DetectorBackend>> = if opts.flag("resume") {
         let path = checkpoint.as_deref().ok_or("--resume needs --checkpoint")?;
         let state = ServerState::read_checkpoint(path).map_err(|e| e.to_string())?;
+        let restored = state.detector.shard_count();
+        if opts.get("shards").is_some() && shards != restored {
+            return Err(cli::UsageError::Invalid {
+                option: "shards",
+                reason: format!(
+                    "the checkpoint holds {restored} shards, not {shards} (omit --shards to resume)"
+                ),
+            }
+            .to_string());
+        }
         eprintln!(
             "resumed from {} at position {}",
             path.display(),
@@ -848,18 +674,11 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         );
         state
     } else {
-        let n_s = per_shard_window(spec.window, shards);
-        let geo = BackendGeometry::new(n_s, MemorySpec::CellsPerElement(spec.cells_per_element))
-            .with_sub_windows(spec.q)
-            .with_hash_count(spec.k)
-            .with_seed(spec.seed)
-            .with_probe(spec.layout);
-        let detector = ShardedDetector::from_fn(spec.seed, shards, |_| {
-            cfd_core::registry::build(&algo, &geo)
-        })
-        .map_err(|e| format!("--algo: {e}"))?;
-        ServerState::new(detector, fixed_registry(ads))
+        let detector = registry::build_sharded(&algo, &spec.geo, shards)
+            .map_err(|e| format!("--algo: {e}"))?;
+        ServerState::new(detector, flat_cpc_registry((0..ads).map(AdId)))
     };
+    let shards = state.detector.shard_count();
 
     let interval_ms: u64 = match opts.get("metrics") {
         None | Some("true") => 1_000,
@@ -929,9 +748,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
                 thread::sleep(Duration::from_millis(50));
             }
         });
-        let outcome = serve(state, &endpoint, &config, &control, &instruments);
-        done.store(true, Ordering::Release);
-        outcome
+        // Stops the watcher even if `serve` panics, so the scope can
+        // join it and the panic reaches the caller instead of a hang.
+        let _stop_watcher = SetOnDrop(&done);
+        serve(state, &endpoint, &config, &control, &instruments)
     })
     .map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
@@ -1012,8 +832,9 @@ fn cmd_replay_client(opts: &Opts) -> Result<(), String> {
 
 fn cmd_size(opts: &Opts) -> Result<(), String> {
     let algo = opts.required("algo")?.to_owned();
-    let window: usize = opts.parse_num("window", 1 << 20)?;
+    let window: usize = opts.positive("window", 1 << 20)?;
     let q: usize = opts.parse_num("sub-windows", 8)?;
+    cli::check_size_args(&algo, window, q).map_err(|e| e.to_string())?;
     let target: f64 = opts.parse_num("target-fp", 0.001)?;
     if !(target > 0.0 && target < 1.0) {
         return Err("--target-fp must be in (0, 1)".into());

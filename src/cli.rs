@@ -106,6 +106,29 @@ pub fn check_option(name: &str, accepted: &[&str]) -> Result<(), UsageError> {
     }
 }
 
+/// Validates `cfd size` arguments against the domains of the
+/// `cfd_analysis::sizing` solvers, so bad input is a usage error rather
+/// than a solver assertion: TBF needs a window of at least 2 (one
+/// element has no earlier click to duplicate), and the GBF and
+/// counting-scheme (`metwally`) solvers split the window into at least
+/// one sub-window. `window` has already passed [`positive`].
+///
+/// # Errors
+///
+/// Returns [`UsageError::Invalid`] naming `--window` for a TBF window
+/// below 2, and [`UsageError::Zero`] naming `--sub-windows` for a zero
+/// sub-window count under `gbf` or `metwally`.
+pub fn check_size_args(algo: &str, window: usize, sub_windows: usize) -> Result<(), UsageError> {
+    match algo {
+        "tbf" if window < 2 => Err(UsageError::Invalid {
+            option: "window",
+            reason: format!("tbf needs a window of at least 2 elements, got {window}"),
+        }),
+        "gbf" | "metwally" => positive("sub-windows", sub_windows).map(drop),
+        _ => Ok(()),
+    }
+}
+
 /// The `cfd serve` usage block. Spliced into the binary's help text
 /// and asserted verbatim in `README.md`.
 pub const SERVE_USAGE: &str = "\
@@ -114,17 +137,20 @@ pub const SERVE_USAGE: &str = "\
              [--algo <backend>] [--window <N>] [--shards <S>]
              [--sub-windows <Q>] [--cells-per-element <c>] [--k <hashes>]
              [--seed <u64>] [--layout scattered|blocked] [--batch <B>]
+             [--window-units <U>] [--sub-units <U>] [--unit-ticks <T>]
              [--queue <Q>] [--pin-workers]
              [--ads <N>] [--hub-batches <batches>] [--checkpoint <file>]
              [--checkpoint-every <clicks>] [--resume]
              [--report-json <file>] [--metrics[=millis]] [--metrics-json]
-             (any `cfd algos` backend; clicks arrive as CFDW wire frames,
+             (any `cfd algos` backend -- time-tbf/time-gbf judge each
+              click at its CFDW tick; clicks arrive as CFDW wire frames,
               flow through a bounded hub into checkpoint-delimited
               pipeline segments, and the complete billing state is
               persisted after every segment; SIGTERM/SIGINT or a client
               DRAIN frame drains gracefully -- final segment, final
               checkpoint, final report; --resume restarts from
-              --checkpoint, and the HELLO position makes clients skip
+              --checkpoint with its shard count (a conflicting --shards
+              is rejected), and the HELLO position makes clients skip
               everything the checkpoint already covers; --ads N bills
               against the same fixed registry as `cfd run --ads N`, so
               the two reports are comparable byte for byte)";
@@ -213,6 +239,28 @@ mod tests {
             check_option("ring-capacity", &accepted),
             Err(UsageError::Unknown("--ring-capacity".to_owned()))
         );
+    }
+
+    #[test]
+    fn size_arguments_outside_the_solver_domains_are_usage_errors() {
+        assert_eq!(check_size_args("tbf", 2, 0), Ok(()));
+        assert_eq!(check_size_args("gbf", 1, 8), Ok(()));
+        let err = check_size_args("tbf", 1, 8).unwrap_err();
+        assert!(matches!(
+            err,
+            UsageError::Invalid {
+                option: "window",
+                ..
+            }
+        ));
+        assert!(err.to_string().starts_with("--window: "));
+        for algo in ["gbf", "metwally"] {
+            assert_eq!(
+                check_size_args(algo, 1 << 20, 0),
+                Err(UsageError::Zero("sub-windows")),
+                "{algo}"
+            );
+        }
     }
 
     #[test]

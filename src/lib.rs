@@ -69,6 +69,6 @@ pub mod prelude {
     pub use cfd_telemetry::{DetectorHealth, DetectorStats, Registry as TelemetryRegistry};
     pub use cfd_windows::{
         DuplicateDetector, ExactJumpingDedup, ExactSlidingDedup, ObservableDetector, StreamSummary,
-        TimedDuplicateDetector, Verdict, WindowSpec,
+        Verdict, WindowSpec,
     };
 }

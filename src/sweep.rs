@@ -24,17 +24,14 @@
 //! Used by `cfd sweep --scenario <file>` and
 //! `throughput --scenario <file>`.
 
-use cfd_analysis::select::{auto_select, auto_select_timed, AutoChoice};
+use cfd_analysis::select::{auto_select, AutoChoice};
 use cfd_core::config::ProbeLayout;
-use cfd_core::registry::{self, BackendGeometry, MemorySpec};
-use cfd_core::sharded::{per_shard_window, ShardedDetector};
-use cfd_core::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
+use cfd_core::registry::{self, BackendEntry, BackendGeometry, MemorySpec};
 use cfd_stream::scenario::{ScenarioSpec, ScenarioWindow, SweepPoint};
 use cfd_stream::Click;
 use cfd_windows::{
     DuplicateDetector, ExactJumpingDedup, ExactSlidingDedup, ExactTimeJumpingDedup,
-    ExactTimeSlidingDedup, ObservableDetector, TimedDuplicateDetector, TimedObservableDetector,
-    Verdict,
+    ExactTimeSlidingDedup, ObservableDetector, Verdict, WindowSpec,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -155,47 +152,25 @@ pub struct SweepReport {
     pub groups: Vec<GroupSummary>,
 }
 
-/// Window semantics an exact oracle must replay — the cache key that
-/// lets every same-semantics grid point share one oracle pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum OracleKind {
-    Sliding,
-    Jumping(usize),
-    TimeSliding,
-    TimeJumping(usize),
-}
-
-/// The oracle semantics of a (resolved) backend name.
-fn oracle_kind(algo: &str, q: usize) -> OracleKind {
-    match algo {
-        "gbf" | "jumping-tbf" => OracleKind::Jumping(q),
-        "time-tbf" => OracleKind::TimeSliding,
-        "time-gbf" => OracleKind::TimeJumping(q),
-        _ => OracleKind::Sliding,
-    }
-}
-
-/// Count-window backends the sweep accepts (`arena` needs per-tenant
-/// ground truth the global oracles cannot express; it has its own
+/// Registry backends the sweep accepts: those whose window model (count
+/// or time) matches the spec's, except `arena`, which needs per-tenant
+/// ground truth the global oracles cannot express (it has its own
 /// harness in `throughput --tenants`).
 fn validate_algos(spec: &ScenarioSpec) -> Result<(), String> {
+    let timed = spec.window.is_timed();
+    let sweepable = |e: &&BackendEntry| e.time_based == timed && e.name != "arena";
     for algo in &spec.sweep.algos {
-        let ok = if spec.window.is_timed() {
-            matches!(algo.as_str(), "auto" | "time-tbf" | "time-gbf")
-        } else {
-            algo == "auto" || (algo != "arena" && registry::find(algo).is_some())
-        };
+        let ok = algo == "auto" || registry::find(algo).is_some_and(|e| sweepable(&e));
         if !ok {
-            let accepted = if spec.window.is_timed() {
-                "auto, time-tbf, time-gbf (window.model = \"time\")".to_owned()
-            } else {
-                format!(
-                    "auto or a registry backend except arena (have: {})",
-                    registry::algo_list()
-                )
-            };
+            let names: Vec<&str> = registry::backends()
+                .iter()
+                .filter(sweepable)
+                .map(|e| e.name)
+                .collect();
+            let model = if timed { "time" } else { "count" };
             return Err(format!(
-                "sweep.algo: `{algo}` is not sweepable (accepted: {accepted})"
+                "sweep.algo: `{algo}` is not sweepable (accepted under window.model = \"{model}\": auto, {})",
+                names.join(", ")
             ));
         }
     }
@@ -209,186 +184,85 @@ fn parse_layout(layout: &str) -> ProbeLayout {
     }
 }
 
-/// A built detector of either clock discipline, driven uniformly.
-enum Driver {
-    Count(Box<dyn ObservableDetector + Send>),
-    Timed(Box<dyn TimedObservableDetector + Send>),
-}
-
-impl Driver {
-    fn observe_chunk(&mut self, refs: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
-        match self {
-            Self::Count(d) => d.observe_batch(refs),
-            Self::Timed(d) => d.observe_batch_at(refs, ticks),
-        }
-    }
-
-    fn memory_bits(&self) -> u64 {
-        match self {
-            Self::Count(d) => d.memory_bits() as u64,
-            Self::Timed(d) => TimedDuplicateDetector::memory_bits(&**d) as u64,
-        }
-    }
-}
-
-/// Builds one count-window backend at the per-shard window.
-fn build_count_one(
-    algo: &str,
-    window: usize,
-    point: &SweepPoint,
-    seed: u64,
-) -> Result<Box<dyn ObservableDetector + Send>, String> {
-    let geo = BackendGeometry::new(window, MemorySpec::CellsPerElement(point.cells_per_element))
-        .with_sub_windows(point.q)
-        .with_hash_count(point.k)
-        .with_seed(seed)
-        .with_probe(parse_layout(&point.layout));
-    let backend = registry::build(algo, &geo).map_err(|e| format!("{}: {e}", point.label()))?;
-    Ok(Box::new(backend))
-}
-
-/// Builds one time-window backend sized for `capacity` expected clicks
-/// (mirrors the `cfd` binary's builder, so sweep rows and `cfd detect`
-/// agree exactly).
-fn build_timed_one(
-    algo: &str,
-    capacity: usize,
+/// Builds the full (possibly sharded) detector for one grid point with
+/// [`registry::build_sharded`] — the same sharding rule `cfd run`,
+/// `cfd detect` and `cfd serve` apply, so sweep rows and the CLI agree
+/// exactly.
+fn build_detector(
+    resolved: &str,
     spec: &ScenarioSpec,
     point: &SweepPoint,
-) -> Result<Box<dyn TimedObservableDetector + Send>, String> {
-    let ScenarioWindow::Time {
+) -> Result<Box<dyn ObservableDetector + Send>, String> {
+    let err = |e: &dyn std::fmt::Display| format!("{}: {e}", point.label());
+    let mut geo = BackendGeometry::new(
+        spec.window.n(),
+        MemorySpec::CellsPerElement(point.cells_per_element),
+    )
+    .with_sub_windows(point.q)
+    .with_hash_count(point.k)
+    .with_seed(spec.seed)
+    .with_probe(parse_layout(&point.layout));
+    if let ScenarioWindow::Time {
         window_units,
         sub_units,
         unit_ticks,
         ..
     } = spec.window
-    else {
-        return Err(format!(
-            "{}: time backend under a count window",
-            point.label()
-        ));
-    };
-    let layout = parse_layout(&point.layout);
-    let err = |e: cfd_core::ConfigError| format!("{}: {e}", point.label());
-    Ok(match algo {
-        "time-tbf" => Box::new(
-            TimeTbf::new(
-                TimeTbfConfig::new(
-                    window_units,
-                    unit_ticks,
-                    capacity * point.cells_per_element,
-                    point.k,
-                    spec.seed,
-                )
-                .and_then(|c| c.with_probe(layout))
-                .map_err(err)?,
-            )
-            .map_err(err)?,
-        ),
-        _ => Box::new(
-            TimeGbf::new(
-                TimeGbfConfig::new(
-                    point.q,
-                    sub_units,
-                    unit_ticks,
-                    capacity.div_ceil(point.q) * point.cells_per_element,
-                    point.k,
-                    spec.seed,
-                )
-                .and_then(|c| c.with_probe(layout))
-                .map_err(err)?,
-            )
-            .map_err(err)?,
-        ),
-    })
+    {
+        geo = geo.with_time(window_units, sub_units, unit_ticks);
+    }
+    let sharded = registry::build_sharded(resolved, &geo, point.shards).map_err(|e| err(&e))?;
+    if point.shards == 1 {
+        return Ok(Box::new(sharded.into_shards().pop().expect("one shard")));
+    }
+    Ok(Box::new(sharded))
 }
 
-/// Builds the full (possibly sharded) detector for one grid point.
-fn build_driver(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Result<Driver, String> {
+/// The window semantics an exact oracle must replay for `detector` —
+/// its window model at the spec's global window (a sharded count
+/// window reports its shards' summed span) — and the cache key that
+/// lets every same-semantics grid point share one oracle pass.
+fn oracle_window(detector: &dyn ObservableDetector, spec: &ScenarioSpec) -> WindowSpec {
     let n = spec.window.n();
-    if spec.window.is_timed() {
-        if point.shards > 1 {
-            // Shards share one wall clock, so each keeps the full time
-            // window; memory splits via per-shard capacity.
-            let capacity = n.div_ceil(point.shards);
-            let mut inner = Vec::with_capacity(point.shards);
-            for _ in 0..point.shards {
-                inner.push(build_timed_one(resolved, capacity, spec, point)?);
-            }
-            let sharded = ShardedDetector::new(spec.seed, inner)
-                .map_err(|e| format!("{}: {e}", point.label()))?;
-            Ok(Driver::Timed(Box::new(sharded)))
-        } else {
-            Ok(Driver::Timed(build_timed_one(resolved, n, spec, point)?))
-        }
-    } else if point.shards > 1 {
-        let per = per_shard_window(n, point.shards);
-        let mut inner = Vec::with_capacity(point.shards);
-        for _ in 0..point.shards {
-            inner.push(build_count_one(resolved, per, point, spec.seed)?);
-        }
-        let sharded = ShardedDetector::new(spec.seed, inner)
-            .map_err(|e| format!("{}: {e}", point.label()))?;
-        Ok(Driver::Count(Box::new(sharded)))
-    } else {
-        Ok(Driver::Count(build_count_one(
-            resolved, n, point, spec.seed,
-        )?))
+    match detector.window() {
+        WindowSpec::Sliding { .. } | WindowSpec::Landmark { .. } => WindowSpec::Sliding { n },
+        WindowSpec::Jumping { q, .. } => WindowSpec::Jumping { n, q },
+        time_based => time_based,
     }
 }
 
-/// Replays the stream through the exact oracle of the given semantics.
+/// Replays the stream through the exact oracle of `window`, each click
+/// at its tick (count windows ignore it).
 fn oracle_verdicts(
-    kind: OracleKind,
+    window: WindowSpec,
     spec: &ScenarioSpec,
     keys: &[[u8; 16]],
     ticks: &[u64],
 ) -> Vec<bool> {
-    let n = spec.window.n();
-    match kind {
-        OracleKind::Sliding => {
-            let mut o = ExactSlidingDedup::new(n);
-            keys.iter()
-                .map(|k| o.observe(k) == Verdict::Duplicate)
-                .collect()
-        }
-        OracleKind::Jumping(q) => {
-            let mut o = ExactJumpingDedup::new(n, q.max(1));
-            keys.iter()
-                .map(|k| o.observe(k) == Verdict::Duplicate)
-                .collect()
-        }
-        OracleKind::TimeSliding => {
-            let ScenarioWindow::Time {
+    let mut oracle: Box<dyn DuplicateDetector> = match (window, &spec.window) {
+        (WindowSpec::Jumping { n, q }, _) => Box::new(ExactJumpingDedup::new(n, q)),
+        (
+            WindowSpec::TimeSliding { .. },
+            &ScenarioWindow::Time {
                 window_units,
                 unit_ticks,
                 ..
-            } = spec.window
-            else {
-                unreachable!("validated: time oracle only under a time window")
-            };
-            let mut o = ExactTimeSlidingDedup::new(window_units, unit_ticks);
-            keys.iter()
-                .zip(ticks)
-                .map(|(k, &t)| o.observe_at(k, t) == Verdict::Duplicate)
-                .collect()
-        }
-        OracleKind::TimeJumping(q) => {
-            let ScenarioWindow::Time {
+            },
+        ) => Box::new(ExactTimeSlidingDedup::new(window_units, unit_ticks)),
+        (
+            WindowSpec::TimeJumping { q, .. },
+            &ScenarioWindow::Time {
                 sub_units,
                 unit_ticks,
                 ..
-            } = spec.window
-            else {
-                unreachable!("validated: time oracle only under a time window")
-            };
-            let mut o = ExactTimeJumpingDedup::new(q.max(1), sub_units, unit_ticks);
-            keys.iter()
-                .zip(ticks)
-                .map(|(k, &t)| o.observe_at(k, t) == Verdict::Duplicate)
-                .collect()
-        }
-    }
+            },
+        ) => Box::new(ExactTimeJumpingDedup::new(q, sub_units, unit_ticks)),
+        _ => Box::new(ExactSlidingDedup::new(spec.window.n())),
+    };
+    keys.iter()
+        .zip(ticks)
+        .map(|(k, &t)| oracle.observe_at(k, t) == Verdict::Duplicate)
+        .collect()
 }
 
 /// The closed-form FP model for rows where one applies: unsharded,
@@ -414,24 +288,14 @@ fn fp_model_for(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Opti
 
 /// Resolves `auto` for the spec's window model at this grid point.
 fn resolve_auto(spec: &ScenarioSpec, point: &SweepPoint) -> AutoChoice {
-    let n = spec.window.n();
-    if spec.window.is_timed() {
-        auto_select_timed(
-            n,
-            point.q,
-            point.cells_per_element,
-            point.k,
-            spec.sweep.target_fp,
-        )
-    } else {
-        auto_select(
-            n,
-            point.q,
-            point.cells_per_element,
-            point.k,
-            spec.sweep.target_fp,
-        )
-    }
+    auto_select(
+        spec.window.n(),
+        point.q,
+        point.cells_per_element,
+        point.k,
+        spec.sweep.target_fp,
+        spec.window.is_timed(),
+    )
 }
 
 fn median(values: &[f64]) -> f64 {
@@ -447,15 +311,20 @@ fn median(values: &[f64]) -> f64 {
 
 /// Drives the whole stream through a fresh detector, returning the
 /// duplicate count (accuracy passes compare verdicts instead).
-fn timed_pass(driver: &mut Driver, keys: &[[u8; 16]], ticks: &[u64], batch: usize) -> (f64, u64) {
+fn timed_pass(
+    detector: &mut dyn ObservableDetector,
+    keys: &[[u8; 16]],
+    ticks: &[u64],
+    batch: usize,
+) -> (f64, u64) {
     let mut dups = 0u64;
     let mut refs: Vec<&[u8]> = Vec::with_capacity(batch);
     let start = Instant::now();
     for (kc, tc) in keys.chunks(batch).zip(ticks.chunks(batch)) {
         refs.clear();
         refs.extend(kc.iter().map(<[u8; 16]>::as_slice));
-        dups += driver
-            .observe_chunk(&refs, tc)
+        dups += detector
+            .observe_batch_at(&refs, tc)
             .iter()
             .filter(|&&v| v == Verdict::Duplicate)
             .count() as u64;
@@ -491,7 +360,7 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
     drop(clicks);
 
     let grid = spec.grid();
-    let mut oracles: HashMap<OracleKind, Rc<Vec<bool>>> = HashMap::new();
+    let mut oracles: HashMap<WindowSpec, Rc<Vec<bool>>> = HashMap::new();
     let mut outcomes: Vec<ConfigOutcome> = Vec::with_capacity(grid.len());
 
     // Accuracy pass (also the warm-up) per grid point.
@@ -507,21 +376,20 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
             (point.algo.clone(), None, None)
         };
 
-        let kind = oracle_kind(&resolved, point.q);
+        let mut detector = build_detector(&resolved, spec, point)?;
+        let window = oracle_window(detector.as_ref(), spec);
         let oracle = oracles
-            .entry(kind)
-            .or_insert_with(|| Rc::new(oracle_verdicts(kind, spec, &keys, &ticks)))
+            .entry(window)
+            .or_insert_with(|| Rc::new(oracle_verdicts(window, spec, &keys, &ticks)))
             .clone();
-
-        let mut driver = build_driver(&resolved, spec, point)?;
-        let memory_bits = driver.memory_bits();
+        let memory_bits = detector.memory_bits() as u64;
         let mut refs: Vec<&[u8]> = Vec::with_capacity(point.batch);
         let (mut fp, mut fneg, mut detected, mut dup_truth) = (0u64, 0u64, 0u64, 0u64);
         let mut pos = 0usize;
         for (kc, tc) in keys.chunks(point.batch).zip(ticks.chunks(point.batch)) {
             refs.clear();
             refs.extend(kc.iter().map(<[u8; 16]>::as_slice));
-            for v in driver.observe_chunk(&refs, tc) {
+            for v in detector.observe_batch_at(&refs, tc) {
                 let truth = oracle[pos];
                 pos += 1;
                 let said_dup = v == Verdict::Duplicate;
@@ -564,8 +432,8 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
         };
         for idx in order {
             let o = &mut outcomes[idx];
-            let mut driver = build_driver(&o.resolved_algo, spec, &o.point)?;
-            let (rate, _) = timed_pass(&mut driver, &keys, &ticks, o.point.batch);
+            let mut detector = build_detector(&o.resolved_algo, spec, &o.point)?;
+            let (rate, _) = timed_pass(detector.as_mut(), &keys, &ticks, o.point.batch);
             o.rates.push(rate);
         }
     }

@@ -8,9 +8,9 @@
 //! 1. **Zero false negatives** under its own window model (sliding or
 //!    jumping, chosen from `window()`), in the self-consistent
 //!    Definition-1 sense of `tests/common`.
-//! 2. **Batch ≡ sequential**: `observe_batch` under arbitrary chunking
-//!    and the flat-key `observe_flat_into` path are verdict-for-verdict
-//!    identical to per-click `observe`.
+//! 2. **Batch ≡ sequential**: the ref-slice and flat-key batch paths,
+//!    under arbitrary chunking, are verdict-for-verdict identical to
+//!    per-click observation.
 //! 3. **Layout differential**: the blocked layout is a probe-placement
 //!    change, not a semantic one — verdicts may differ from scattered
 //!    only through one-sided false positives, so both layouts stay
@@ -24,17 +24,27 @@
 //!    decision, not a semantic one — the same stream judged with the
 //!    wide kernels forced off and on is verdict-for-verdict identical
 //!    for every backend in both layouts.
+//!
+//! Every click carries a tick and is judged through the `_at` methods,
+//! which count windows ignore. Time-window backends (`time-tbf`,
+//! `time-gbf`) replay two tick streams — one click per tick, and
+//! irregular gaps with a few regressed ticks — and are held to the
+//! exact time oracle their `window()` names. A sixth property checks
+//! that `Box<dyn DetectorBackend>` and `ShardedDetector` forward the
+//! ticks.
 
 mod common;
 
 use cfd_core::config::ProbeLayout;
-use cfd_core::registry::{self, BackendGeometry, MemorySpec};
-use cfd_core::{ArenaConfig, TenantArena};
+use cfd_core::registry::{self, BackendEntry, BackendGeometry, DetectorBackend, MemorySpec};
+use cfd_core::{ArenaConfig, CheckpointState, ShardedDetector, TenantArena, TimeGbf, TimeTbf};
 use cfd_stream::{
     BotnetConfig, BotnetStream, DuplicateInjector, TenantTraffic, TenantTrafficConfig,
     UniqueClickStream, TENANT_KEY_LEN,
 };
-use cfd_windows::{DuplicateDetector, WindowSpec};
+use cfd_windows::{
+    DuplicateDetector, ExactTimeJumpingDedup, ExactTimeSlidingDedup, Verdict, WindowSpec,
+};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -50,12 +60,46 @@ const LAYOUTS: [ProbeLayout; 2] = [ProbeLayout::Scattered, ProbeLayout::Blocked]
 /// the stress the zero-FN property wants); the layout differential
 /// instead passes a budget where FPs are rare, so disagreement stays a
 /// sliver.
+///
+/// The time window is 32 units (`time-tbf`) or 4 sub-windows of 8 units
+/// (`time-gbf`) of 4 ticks: a one-click-per-tick stream keeps ~128
+/// clicks in it, inside the tables' `N`-click capacity.
 fn geometry(seed: u64, layout: ProbeLayout, bits_per_element: usize) -> BackendGeometry {
     BackendGeometry::new(N, MemorySpec::TotalBits(N * bits_per_element))
         .with_sub_windows(4)
         .with_hash_count(4)
         .with_seed(seed)
         .with_probe(layout)
+        .with_time(32, 8, 4)
+}
+
+/// The tick streams `entry` replays. A count window ignores ticks, so
+/// it gets one click per tick only; a time window also gets irregular
+/// gaps — mostly under three units, one in 64 longer than the whole
+/// window — with every 97th click's tick regressed by three units (the
+/// detectors clamp it to their high-water unit).
+fn tick_streams(entry: &BackendEntry, seed: u64, count: usize) -> Vec<Vec<u64>> {
+    let dense = (0..count as u64).collect();
+    if !entry.time_based {
+        return vec![dense];
+    }
+    let (mut x, mut tick) = (seed | 1, 0u64);
+    let sparse = (0..count).map(|i| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        tick += if (x >> 33) % 64 == 0 {
+            400
+        } else {
+            (x >> 33) % 9
+        };
+        if i % 97 == 96 {
+            tick.saturating_sub(12)
+        } else {
+            tick
+        }
+    });
+    vec![dense, sparse.collect()]
 }
 
 /// Duplicate-heavy keys: 40% re-clicks within a short gap, so every
@@ -139,15 +183,112 @@ fn tenant_of(key: &[u8; TENANT_KEY_LEN]) -> u64 {
 }
 
 /// Runs the self-consistent false-negative oracle matching the
-/// detector's own window model.
-fn false_negatives<D: DuplicateDetector>(d: &mut D, keys: impl Iterator<Item = Vec<u8>>) -> u64 {
-    match d.window() {
+/// detector's own window model (paper Definition 1: a click is a false
+/// negative iff the detector itself validated an identical click within
+/// the window and still answers `Distinct`).
+///
+/// Time windows use the exact time oracle, fed only the clicks the
+/// detector validated — an earlier false positive blocks an insertion,
+/// so it cannot count against the detector — each at the clock the
+/// detector judged it at: the running maximum tick, since the detectors
+/// clamp a regressed tick to their high-water unit.
+fn false_negatives(
+    d: &mut Box<dyn DetectorBackend>,
+    geo: &BackendGeometry,
+    keys: &[Vec<u8>],
+    ticks: &[u64],
+) -> u64 {
+    let mut oracle: Box<dyn DuplicateDetector> = match d.window() {
         WindowSpec::Sliding { n } | WindowSpec::Landmark { n } => {
-            common::sliding_false_negatives(d, n, keys)
+            return common::sliding_false_negatives(d, n, keys.iter().cloned())
         }
-        WindowSpec::Jumping { n, q } => common::jumping_false_negatives(d, n, q, keys),
-        other => unreachable!("registry backends are count-window detectors, got {other:?}"),
+        WindowSpec::Jumping { n, q } => {
+            return common::jumping_false_negatives(d, n, q, keys.iter().cloned())
+        }
+        WindowSpec::TimeSliding { ticks } => {
+            assert_eq!(ticks, geo.window_units * geo.unit_ticks);
+            Box::new(ExactTimeSlidingDedup::new(geo.window_units, geo.unit_ticks))
+        }
+        WindowSpec::TimeJumping { ticks, q } => {
+            assert_eq!(ticks, q as u64 * geo.sub_units * geo.unit_ticks);
+            Box::new(ExactTimeJumpingDedup::new(q, geo.sub_units, geo.unit_ticks))
+        }
+    };
+    let mut now = 0;
+    let mut false_negatives = 0;
+    for (key, &tick) in keys.iter().zip(ticks) {
+        now = tick.max(now);
+        if d.observe_at(key, tick) == Verdict::Distinct
+            && oracle.observe_at(key, now) == Verdict::Duplicate
+        {
+            false_negatives += 1;
+        }
     }
+    false_negatives
+}
+
+/// The dispatch override of the SIMD properties is process-global
+/// state: they hold this lock so concurrent properties never race it.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
+/// Judges `ids` in `chunk`-sized batches twice — wide kernels forced
+/// off, then allowed — and returns both verdict streams. The default
+/// dispatch is restored even when `judge` panics.
+fn scalar_and_wide(
+    chunk: usize,
+    ids: &[&[u8]],
+    mut judge: impl FnMut(bool, &[&[u8]], usize) -> Vec<Verdict>,
+) -> (Vec<Verdict>, Vec<Verdict>) {
+    let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut run = |scalar: bool| {
+            cfd_core::simd::set_scalar_override(Some(scalar));
+            let mut verdicts = Vec::with_capacity(ids.len());
+            for (i, group) in ids.chunks(chunk).enumerate() {
+                verdicts.extend(judge(scalar, group, i * chunk));
+            }
+            verdicts
+        };
+        (run(true), run(false))
+    }));
+    cfd_core::simd::set_scalar_override(None);
+    result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Judges `flat` at `ticks` through the boxed and sharded-boxed forms of
+/// `entry` (via `observe_flat_at_into`, in `chunk`-sized batches) and
+/// through their concrete twins — rebuilt from the boxes' checkpoints,
+/// so both share one configuration — via per-click `observe_at`,
+/// returning `(boxed, concrete, sharded boxed, sharded concrete)`
+/// verdicts.
+fn wrapped_and_concrete<C: DuplicateDetector + CheckpointState>(
+    entry: &BackendEntry,
+    geo: &BackendGeometry,
+    flat: &[u8],
+    ticks: &[u64],
+    chunk: usize,
+) -> [Vec<Verdict>; 4] {
+    let mut boxed = entry.build(geo).expect("build");
+    let mut sharded = registry::build_sharded(entry.name, geo, 3).expect("build sharded");
+    let mut single = C::restore(&boxed.checkpoint_bytes()).expect("concrete restore");
+    let mut shards = ShardedDetector::<C>::restore(&CheckpointState::checkpoint(&sharded))
+        .expect("concrete sharded restore");
+    let mut out = Vec::new();
+    let mut via_box = Vec::new();
+    let mut via_sharded_box = Vec::new();
+    for (kc, tc) in flat.chunks(chunk * 8).zip(ticks.chunks(chunk)) {
+        boxed.observe_flat_at_into(kc, 8, tc, &mut out);
+        via_box.extend_from_slice(&out);
+        sharded.observe_flat_at_into(kc, 8, tc, &mut out);
+        via_sharded_box.extend_from_slice(&out);
+    }
+    let keys = flat.chunks_exact(8).zip(ticks);
+    let concrete = keys
+        .clone()
+        .map(|(k, &t)| single.observe_at(k, t))
+        .collect();
+    let sharded_concrete = keys.map(|(k, &t)| shards.observe_at(k, t)).collect();
+    [via_box, concrete, via_sharded_box, sharded_concrete]
 }
 
 proptest! {
@@ -161,14 +302,17 @@ proptest! {
         keys.extend(botnet_keys(seed, 3_000));
         for entry in registry::backends() {
             for layout in LAYOUTS {
-                let mut d = entry
-                    .build(&geometry(seed, layout, 64))
-                    .expect("registered backend builds at the shared budget");
-                let fns = false_negatives(&mut d, keys.iter().cloned());
-                prop_assert_eq!(
-                    fns, 0,
-                    "{} ({layout:?}): {} false negatives", entry.name, fns
-                );
+                for ticks in tick_streams(entry, seed, keys.len()) {
+                    let geo = geometry(seed, layout, 64);
+                    let mut d = entry
+                        .build(&geo)
+                        .expect("registered backend builds at the shared budget");
+                    let fns = false_negatives(&mut d, &geo, &keys, &ticks);
+                    prop_assert_eq!(
+                        fns, 0,
+                        "{} ({layout:?}): {} false negatives", entry.name, fns
+                    );
+                }
             }
         }
     }
@@ -181,36 +325,36 @@ proptest! {
         chunk in 1usize..300,
     ) {
         let flat = flat_keys(seed, 4_000, 700);
-        let keys: Vec<Vec<u8>> = flat.chunks_exact(8).map(<[u8]>::to_vec).collect();
+        let keys: Vec<&[u8]> = flat.chunks_exact(8).collect();
         for entry in registry::backends() {
             for layout in LAYOUTS {
-                let geo = geometry(seed, layout, 64);
-                let mut seq = entry.build(&geo).expect("build");
-                let mut by_refs = entry.build(&geo).expect("build");
-                let mut by_flat = entry.build(&geo).expect("build");
+                for ticks in tick_streams(entry, seed, keys.len()) {
+                    let geo = geometry(seed, layout, 64);
+                    let mut seq = entry.build(&geo).expect("build");
+                    let mut by_refs = entry.build(&geo).expect("build");
+                    let mut by_flat = entry.build(&geo).expect("build");
+                    let sequential: Vec<_> =
+                        keys.iter().zip(&ticks).map(|(k, &t)| seq.observe_at(k, t)).collect();
 
-                let sequential: Vec<_> = keys.iter().map(|k| seq.observe(k)).collect();
-
-                let mut via_refs = Vec::with_capacity(keys.len());
-                for group in keys.chunks(chunk) {
-                    let refs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
-                    via_refs.extend(by_refs.observe_batch(&refs));
+                    let (mut via_refs, mut via_flat) = (Vec::new(), Vec::new());
+                    let mut out = Vec::new();
+                    for (kc, tc) in keys.chunks(chunk).zip(ticks.chunks(chunk)) {
+                        by_refs.observe_batch_at_into(kc, tc, &mut out);
+                        via_refs.extend_from_slice(&out);
+                    }
+                    for (kc, tc) in flat.chunks(chunk * 8).zip(ticks.chunks(chunk)) {
+                        by_flat.observe_flat_at_into(kc, 8, tc, &mut out);
+                        via_flat.extend_from_slice(&out);
+                    }
+                    prop_assert_eq!(
+                        &sequential, &via_refs,
+                        "{} ({layout:?}): batch of refs diverged", entry.name
+                    );
+                    prop_assert_eq!(
+                        &sequential, &via_flat,
+                        "{} ({layout:?}): flat batch diverged", entry.name
+                    );
                 }
-                prop_assert_eq!(
-                    &sequential, &via_refs,
-                    "{} ({layout:?}): observe_batch diverged", entry.name
-                );
-
-                let mut via_flat = Vec::with_capacity(keys.len());
-                let mut out = Vec::new();
-                for group in flat.chunks(chunk * 8) {
-                    by_flat.observe_flat_into(group, 8, &mut out);
-                    via_flat.extend_from_slice(&out);
-                }
-                prop_assert_eq!(
-                    &sequential, &via_flat,
-                    "{} ({layout:?}): observe_flat_into diverged", entry.name
-                );
             }
         }
     }
@@ -232,7 +376,8 @@ proptest! {
                 .expect("build");
             let disagreements = keys
                 .iter()
-                .filter(|k| scattered.observe(k) != blocked.observe(k))
+                .zip(0u64..)
+                .filter(|&(k, t)| scattered.observe_at(k, t) != blocked.observe_at(k, t))
                 .count();
             prop_assert!(
                 disagreements <= keys.len() / 20,
@@ -252,77 +397,97 @@ proptest! {
     /// true.
     #[test]
     fn every_backend_simd_matches_scalar(seed in 0u64..1_000, chunk in 1usize..300) {
-        // The dispatch override is process-global state: hold a lock so
-        // concurrent properties in this binary never race it.
-        static DISPATCH: Mutex<()> = Mutex::new(());
-        let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
-
         let mut keys = injected_keys(seed, 3_000);
         keys.extend(botnet_keys(seed, 2_000));
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let result = std::panic::catch_unwind(|| {
-            for entry in registry::backends() {
-                for layout in LAYOUTS {
+        for entry in registry::backends() {
+            for layout in LAYOUTS {
+                for ticks in tick_streams(entry, seed, keys.len()) {
                     let geo = geometry(seed, layout, 64);
-                    let mut forced = entry.build(&geo).expect("build");
-                    let mut wide = entry.build(&geo).expect("build");
-
-                    cfd_core::simd::set_scalar_override(Some(true));
-                    let mut scalar_verdicts = Vec::with_capacity(keys.len());
-                    for group in refs.chunks(chunk) {
-                        scalar_verdicts.extend(forced.observe_batch(group));
-                    }
-
-                    cfd_core::simd::set_scalar_override(Some(false));
-                    let mut wide_verdicts = Vec::with_capacity(keys.len());
-                    for group in refs.chunks(chunk) {
-                        wide_verdicts.extend(wide.observe_batch(group));
-                    }
-
-                    assert_eq!(
-                        scalar_verdicts, wide_verdicts,
-                        "{} ({layout:?}): wide kernels changed a verdict",
-                        entry.name
+                    let mut detectors =
+                        [entry.build(&geo).expect("build"), entry.build(&geo).expect("build")];
+                    let (scalar, wide) = scalar_and_wide(chunk, &refs, |forced, group, at| {
+                        let mut out = Vec::new();
+                        detectors[usize::from(forced)]
+                            .observe_batch_at_into(group, &ticks[at..at + group.len()], &mut out);
+                        out
+                    });
+                    prop_assert_eq!(
+                        scalar, wide,
+                        "{} ({layout:?}): wide kernels changed a verdict", entry.name
                     );
                 }
             }
-        });
-        // Restore the default dispatch even when the body panicked, so
-        // a failure here cannot bleed into later properties.
-        cfd_core::simd::set_scalar_override(None);
-        if let Err(panic) = result {
-            std::panic::resume_unwind(panic);
         }
     }
 
     /// Property 4: a checkpoint taken mid-stream restores — through the
     /// backend-agnostic `restore_any` and the entry's own `restore` —
-    /// into a detector that continues identically.
+    /// into a detector that continues identically (a time window with
+    /// its clock).
     #[test]
     fn every_backend_checkpoint_roundtrips_midstream(seed in 0u64..1_000) {
         let keys = injected_keys(seed, 3_000);
-        let (prefix, suffix) = keys.split_at(keys.len() / 2);
+        let half = keys.len() / 2;
         for entry in registry::backends() {
             for layout in LAYOUTS {
-                let mut original = entry.build(&geometry(seed, layout, 64)).expect("build");
-                for k in prefix {
-                    original.observe(k);
+                for ticks in tick_streams(entry, seed, keys.len()) {
+                    let mut original = entry.build(&geometry(seed, layout, 64)).expect("build");
+                    for (k, &t) in keys[..half].iter().zip(&ticks) {
+                        original.observe_at(k, t);
+                    }
+                    let buf = original.checkpoint_bytes();
+                    let mut restored = registry::restore_any(&buf)
+                        .expect("checkpoint restores through the registry");
+                    let mut via_entry = entry.restore(&buf).expect("entry restore");
+                    prop_assert_eq!(restored.window(), original.window());
+                    prop_assert_eq!(restored.memory_bits(), original.memory_bits());
+                    for (k, &t) in keys[half..].iter().zip(&ticks[half..]) {
+                        let want = original.observe_at(k, t);
+                        prop_assert_eq!(
+                            restored.observe_at(k, t), want,
+                            "{} ({layout:?}): restore_any diverged", entry.name
+                        );
+                        prop_assert_eq!(
+                            via_entry.observe_at(k, t), want,
+                            "{} ({layout:?}): entry restore diverged", entry.name
+                        );
+                    }
                 }
-                let buf = original.checkpoint_bytes();
-                let mut restored = registry::restore_any(&buf)
-                    .expect("checkpoint restores through the registry");
-                let mut via_entry = entry.restore(&buf).expect("entry restore");
-                prop_assert_eq!(restored.window(), original.window());
-                prop_assert_eq!(restored.memory_bits(), original.memory_bits());
-                for k in suffix {
-                    let want = original.observe(k);
+            }
+        }
+    }
+
+    /// Property 6: the wrappers forward the ticks. A time backend
+    /// behind `Box<dyn DetectorBackend>`, and behind
+    /// `ShardedDetector<Box<dyn DetectorBackend>>`, judges through
+    /// `observe_flat_at_into` exactly as its concrete type does through
+    /// per-click `observe_at` — a wrapper falling back to the tick-less
+    /// default would judge at a frozen clock and diverge.
+    #[test]
+    fn time_backends_keep_their_clock_behind_wrappers(
+        seed in 0u64..1_000,
+        chunk in 1usize..300,
+    ) {
+        let flat = flat_keys(seed, 4_000, 700);
+        for entry in registry::backends().iter().filter(|e| e.time_based) {
+            for layout in LAYOUTS {
+                for ticks in tick_streams(entry, seed, flat.len() / 8) {
+                    let geo = geometry(seed, layout, 64);
+                    let run = match entry.name {
+                        "time-tbf" => wrapped_and_concrete::<TimeTbf>,
+                        "time-gbf" => wrapped_and_concrete::<TimeGbf>,
+                        other => panic!("name the concrete type of time backend `{other}` here"),
+                    };
+                    let [boxed, concrete, sharded, sharded_concrete] =
+                        run(entry, &geo, &flat, &ticks, chunk);
                     prop_assert_eq!(
-                        restored.observe(k), want,
-                        "{} ({layout:?}): restore_any diverged", entry.name
+                        boxed, concrete,
+                        "{} ({layout:?}): the box lost the clock", entry.name
                     );
                     prop_assert_eq!(
-                        via_entry.observe(k), want,
-                        "{} ({layout:?}): entry restore diverged", entry.name
+                        sharded, sharded_concrete,
+                        "{} ({layout:?}): the sharded box lost the clock", entry.name
                     );
                 }
             }
