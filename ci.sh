@@ -120,6 +120,12 @@ if [[ "${1:-}" != "quick" ]]; then
 fi
 
 if [[ "${1:-}" != "quick" ]]; then
+    echo "==> gap-curve smoke: TimeTbf cost per click across click gaps (smoke scale)"
+    cargo bench -q -p cfd-bench --bench detectors -- time_tbf_gap_curve --smoke \
+        | sed 's/^/   /'
+fi
+
+if [[ "${1:-}" != "quick" ]]; then
     echo "==> tenants smoke: multi-tenant arena vs single detector, isolation asserts (quick scale)"
     # Quick scale writes its own file; the committed full-scale
     # BENCH_pr9.json is regenerated only by a manual full run.

@@ -232,7 +232,9 @@ impl PackedIntVec {
     /// On the wide dispatch every entry is decoded from an independent
     /// two-word window and classified with branch-free flag arithmetic
     /// (the same compare set [`crate::simd::classify_stamps`] applies
-    /// lane-wise); only expired entries pay a store. The scalar
+    /// lane-wise); only expired entries pay a store, and entries lying
+    /// wholly inside all-ones words (empty) are passed over without
+    /// decoding. The scalar
     /// dispatch is the original register-cached per-entry branch chain
     /// ([`PackedIntVec::update_range`]), so `CFD_FORCE_SCALAR=1`
     /// measures the pre-SIMD code path. Both are bit-identical.
@@ -301,30 +303,51 @@ impl PackedIntVec {
         // and classified with flag arithmetic; the only data-dependent
         // branch left is the rewrite itself, which is rare (few entries
         // expire per call) and therefore predicts well.
-        for i in start..end {
-            let bit = i * bits;
-            let (w, off) = (bit / WORD_BITS, (bit % WORD_BITS) as u32);
-            // `w + 1` is clamped, not checked: the second word only
-            // contributes when the entry straddles, and a straddling
-            // entry always has a real successor word.
-            let pair = (u128::from(words[(w + 1).min(last)]) << WORD_BITS) | u128::from(words[w]);
-            let v = (pair >> off) as u64 & max;
-            let ts = v & ts_mask;
-            let occupied = ts != ts_mask;
-            let wrapped = ts > now;
-            let age = now
-                .wrapping_sub(ts)
-                .wrapping_add(range & (wrapped as u64).wrapping_neg());
-            let active = age >= active_lo && age <= active_hi;
-            if occupied & !active {
-                words[w] = (words[w] & !(max << off)) | (empty << off);
-                let have = WORD_BITS as u32 - off;
-                if (have as usize) < bits {
-                    let hi_mask = low_mask(bits as u32 - have);
-                    words[w + 1] = (words[w + 1] & !hi_mask) | (empty >> have);
+        //
+        // Entries that lie wholly inside all-ones words are empty (their
+        // stamp field is `ts_mask`), which the classifier leaves
+        // untouched, so they are skipped without decoding: before each
+        // run of up to 64 entries (to the next multiple of 64), the run
+        // of all-ones words starting at entry `i`'s first word is
+        // measured and every entry inside it is passed over. Exact for
+        // every caller; at low occupancy (a time window at a traffic
+        // trough) the sweep becomes a scan of words at memory speed
+        // instead of a decode of entries, and on a dense table it costs
+        // one short word scan per 64 entries.
+        let hi_w = (end * bits).div_ceil(WORD_BITS);
+        let mut i = start;
+        while i < end {
+            let w = i * bits / WORD_BITS;
+            let run_end_bit = (w + ones_prefix(&words[w..hi_w])) * WORD_BITS;
+            i = i.max(run_end_bit / bits).min(end);
+            let block_end = ((i / WORD_BITS + 1) * WORD_BITS).min(end);
+            for j in i..block_end {
+                let bit = j * bits;
+                let (w, off) = (bit / WORD_BITS, (bit % WORD_BITS) as u32);
+                // `w + 1` is clamped, not checked: the second word only
+                // contributes when the entry straddles, and a straddling
+                // entry always has a real successor word.
+                let pair =
+                    (u128::from(words[(w + 1).min(last)]) << WORD_BITS) | u128::from(words[w]);
+                let v = (pair >> off) as u64 & max;
+                let ts = v & ts_mask;
+                let occupied = ts != ts_mask;
+                let wrapped = ts > now;
+                let age = now
+                    .wrapping_sub(ts)
+                    .wrapping_add(range & (wrapped as u64).wrapping_neg());
+                let active = age >= active_lo && age <= active_hi;
+                if occupied & !active {
+                    words[w] = (words[w] & !(max << off)) | (empty << off);
+                    let have = WORD_BITS as u32 - off;
+                    if (have as usize) < bits {
+                        let hi_mask = low_mask(bits as u32 - have);
+                        words[w + 1] = (words[w + 1] & !hi_mask) | (empty >> have);
+                    }
+                    changed += 1;
                 }
-                changed += 1;
             }
+            i = block_end;
         }
         changed
     }
@@ -396,14 +419,44 @@ impl PackedIntVec {
 
     /// Sets every entry to `value`.
     ///
+    /// Word-level: 64 entries of `bits` width span exactly `bits` words,
+    /// so the table is one `bits`-word period repeated (a memset for the
+    /// all-ones "empty" pattern). It runs at construction and on every
+    /// whole-table clear (a time window's long-gap expiry), so it must
+    /// cost memory bandwidth, not one read-modify-write per entry. The
+    /// unused tail bits of the last word are left as they were, so
+    /// [`PackedIntVec::as_words`] — and a checkpoint — is the same as
+    /// after per-entry [`PackedIntVec::set`] calls.
+    ///
     /// # Panics
     ///
     /// Panics if `value` does not fit in the entry width.
     pub fn fill(&mut self, value: u64) {
         assert!(value <= self.max, "value {value} exceeds entry width");
-        // Entry-by-entry is O(len) but only used at construction/reset.
-        for i in 0..self.len {
-            self.set(i, value);
+        let bits = self.bits as usize;
+        let mut period = [0u64; 64];
+        for j in 0..WORD_BITS {
+            let (w, off) = ((j * bits) / WORD_BITS, ((j * bits) % WORD_BITS) as u32);
+            period[w] |= value << off;
+            let have = WORD_BITS - off as usize;
+            if have < bits {
+                period[w + 1] |= value >> have;
+            }
+        }
+        let used = self.len * bits;
+        let full = used / WORD_BITS;
+        if period[..bits].iter().all(|&p| p == period[0]) {
+            // All-ones (the empty marker) and zero: a plain memset.
+            self.words[..full].fill(period[0]);
+        } else {
+            for chunk in self.words[..full].chunks_mut(bits) {
+                chunk.copy_from_slice(&period[..chunk.len()]);
+            }
+        }
+        let tail = (used % WORD_BITS) as u32;
+        if tail > 0 {
+            let keep = !low_mask(tail);
+            self.words[full] = (self.words[full] & keep) | (period[full % bits] & !keep);
         }
     }
 
@@ -443,6 +496,19 @@ impl PackedIntVec {
     pub fn count_eq(&self, value: u64) -> usize {
         self.iter().filter(|&v| v == value).count()
     }
+}
+
+/// Number of leading `u64::MAX` words in `words`, tested eight words
+/// per step (an AND-reduction the compiler vectorizes).
+fn ones_prefix(words: &[u64]) -> usize {
+    let mut n = 0;
+    for chunk in words.chunks_exact(8) {
+        if chunk.iter().fold(u64::MAX, |acc, &w| acc & w) != u64::MAX {
+            break;
+        }
+        n += 8;
+    }
+    n + words[n..].iter().take_while(|&&w| w == u64::MAX).count()
 }
 
 #[cfg(test)]
@@ -556,6 +622,43 @@ mod tests {
         v.update_range(10, 7, |_| None);
     }
 
+    #[test]
+    fn expire_skip_never_passes_a_non_empty_word() {
+        // One expired stamp at each offset of the second 64-entry block,
+        // all else empty: a skip that takes even one word too many for
+        // empty leaves the stamp behind.
+        for bits in 4u32..=24 {
+            let empty = low_mask(bits);
+            for at in 64..128 {
+                for force_scalar in [false, true] {
+                    crate::simd::set_scalar_override(Some(force_scalar));
+                    let mut v = PackedIntVec::new_all_ones(192, bits);
+                    v.set(at, 0);
+                    let changed = v.expire_timestamps(0, 192, empty, empty, 9, 10, 0, 4);
+                    crate::simd::set_scalar_override(None);
+                    assert_eq!(changed, 1, "bits={bits} at={at} scalar={force_scalar}");
+                    assert_eq!(v.count_eq(empty), 192, "bits={bits} at={at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_writes_whole_words_and_keeps_the_tail() {
+        // 21-bit entries straddle words; 10 entries use 210 bits, and
+        // the fourth word's top 46 bits are unused: `fill` must not
+        // touch them.
+        let mut v = PackedIntVec::from_words(vec![0; 4], 10, 21).unwrap();
+        v.fill(0x1F_FFFF);
+        assert_eq!(
+            v.as_words(),
+            &[u64::MAX, u64::MAX, u64::MAX, low_mask(210 - 192)]
+        );
+        let mut w = PackedIntVec::from_words(vec![u64::MAX; 4], 10, 21).unwrap();
+        w.fill(0);
+        assert_eq!(w.as_words(), &[0, 0, 0, !low_mask(210 - 192)]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::default())]
         #[test]
@@ -591,32 +694,45 @@ mod tests {
         fn expire_timestamps_matches_get_set_model(
             bits in 4u32..=24,
             ts_bits in 2u32..=24,
-            start in 0usize..150,
-            count in 0usize..150,
+            len in 1usize..=600,
+            start in 0usize..600,
+            count in 0usize..600,
             now_seed in any::<u64>(),
             lo in 0u64..=1,
+            // (run length, kind): 0 = all empty, 1 = dense mix of empty
+            // markers and stamps, 2 = empty run ending in one stamp.
+            // Empty runs make whole aligned 64-entry blocks empty (the
+            // wide sweep's skip); kind 2 puts a lone stamp at an
+            // arbitrary block offset, including a block's last word.
+            runs in prop::collection::vec((1usize..200, 0u8..3), 1..12),
         ) {
             let ts_bits = ts_bits.min(bits);
             let ts_mask = (1u64 << ts_bits) - 1;
             let range = ts_mask.max(2); // all-ones stays reserved for "empty"
             let now = now_seed % range;
             let hi = (range / 2).max(lo);
-            let count = count.min(200 - start);
+            let start = start % len;
+            let count = count.min(len - start);
             let mask = low_mask(bits);
             let empty = mask; // whole-entry all-ones, the TBF/SWBF idiom
-            let mut v = PackedIntVec::new(200, bits);
-            for i in 0..200 {
-                // Mix of empty markers and stamps all over the clock.
+            let stamp = |i: usize| {
                 let raw = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let val = if raw.is_multiple_of(5) {
-                    empty
-                } else {
-                    ((raw >> 8) % range) | (raw & !ts_mask & mask)
-                };
-                v.set(i, val);
+                ((raw >> 8) % range) | (raw & !ts_mask & mask)
+            };
+            let mut init = Vec::with_capacity(len);
+            for (run, kind) in runs {
+                for r in 0..run {
+                    let i = init.len();
+                    let dense = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    init.push(match kind {
+                        1 if !dense.is_multiple_of(5) => stamp(i),
+                        2 if r + 1 == run => stamp(i),
+                        _ => empty,
+                    });
+                }
             }
-            let mut model: Vec<u64> = (0..200).map(|i| v.get(i)).collect();
-            let changed = v.expire_timestamps(start, count, ts_mask, empty, now, range, lo, hi);
+            init.resize(len, empty);
+            let mut model = init.clone();
             let mut expect_changed = 0;
             for item in model.iter_mut().take(start + count).skip(start) {
                 let ts = *item & ts_mask;
@@ -629,10 +745,45 @@ mod tests {
                     expect_changed += 1;
                 }
             }
-            prop_assert_eq!(changed, expect_changed);
-            for (i, want) in model.iter().enumerate() {
-                prop_assert_eq!(v.get(i), *want, "i={}", i);
+            // Both dispatches: the wide sweep (with the empty-block
+            // skip) and the scalar reference.
+            for force_scalar in [false, true] {
+                crate::simd::set_scalar_override(Some(force_scalar));
+                let mut v = PackedIntVec::new(len, bits);
+                for (i, &val) in init.iter().enumerate() {
+                    v.set(i, val);
+                }
+                let changed = v.expire_timestamps(start, count, ts_mask, empty, now, range, lo, hi);
+                crate::simd::set_scalar_override(None);
+                prop_assert_eq!(changed, expect_changed, "scalar={}", force_scalar);
+                for (i, want) in model.iter().enumerate() {
+                    prop_assert_eq!(v.get(i), *want, "i={} scalar={}", i, force_scalar);
+                }
             }
+        }
+
+        #[test]
+        fn fill_matches_per_entry_set(
+            bits in 1u32..=64,
+            len in 0usize..400,
+            value in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            // Start from arbitrary words, tail bits included: `fill` must
+            // leave the bits past the last entry exactly as per-entry
+            // `set` does, or checkpoint bytes would change.
+            let n_words = (len * bits as usize).div_ceil(WORD_BITS);
+            let words: Vec<u64> = (0..n_words as u64)
+                .map(|w| (w ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            let value = value & low_mask(bits);
+            let mut v = PackedIntVec::from_words(words, len, bits).unwrap();
+            let mut model = v.clone();
+            for i in 0..len {
+                model.set(i, value);
+            }
+            v.fill(value);
+            prop_assert_eq!(v.as_words(), model.as_words());
         }
 
         #[test]

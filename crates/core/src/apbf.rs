@@ -170,6 +170,16 @@ enum Layout {
     },
 }
 
+impl Layout {
+    /// Wipe units per slice: words (scattered) or lines (blocked).
+    fn units_per_slice(self) -> usize {
+        match self {
+            Layout::Scattered { slice_words } => slice_words,
+            Layout::Blocked { lines, .. } => lines,
+        }
+    }
+}
+
 /// Dynamic APBF state captured by a checkpoint.
 pub(crate) struct ApbfState {
     pub base: usize,
@@ -227,6 +237,13 @@ impl Apbf {
     /// (scattered) or one line (blocked) per slice, or a blocked lane
     /// narrower than two bits.
     pub fn new(cfg: ApbfConfig) -> Result<Self, ConfigError> {
+        let (layout, len) = Self::checked_layout(&cfg)?;
+        Ok(Self::with_bits(cfg, layout, BitVec::new(len)))
+    }
+
+    /// Validates `cfg` and returns its slice layout and table length in
+    /// bits.
+    fn checked_layout(cfg: &ApbfConfig) -> Result<(Layout, usize), ConfigError> {
         if cfg.n < 2 {
             return Err(ConfigError::WindowTooSmall(cfg.n));
         }
@@ -237,8 +254,7 @@ impl Apbf {
             return Err(ConfigError::ZeroDimension("age slices l"));
         }
         let s = cfg.physical_slices();
-        let g = cfg.generation_len();
-        let (layout, len, units) = match cfg.probe {
+        match cfg.probe {
             ProbeLayout::Scattered => {
                 let slice_words = (cfg.total_bits / s) / 64;
                 if slice_words == 0 {
@@ -247,11 +263,7 @@ impl Apbf {
                         required: s * 64,
                     });
                 }
-                (
-                    Layout::Scattered { slice_words },
-                    s * slice_words * 64,
-                    slice_words,
-                )
+                Ok((Layout::Scattered { slice_words }, s * slice_words * 64))
             }
             ProbeLayout::Blocked => {
                 let lane_bits = lane_bits_for(s).ok_or(ConfigError::BlockedUnsupported {
@@ -265,27 +277,31 @@ impl Apbf {
                         required: LINE_BITS,
                     });
                 }
-                (
-                    Layout::Blocked { lines, lane_bits },
-                    lines * LINE_BITS,
-                    lines,
-                )
+                Ok((Layout::Blocked { lines, lane_bits }, lines * LINE_BITS))
             }
-        };
-        Ok(Self {
-            bits: BitVec::new(len),
+        }
+    }
+
+    /// A fresh detector built around `bits` (a table of
+    /// the layout's length; `cfg` already passed
+    /// [`Self::checked_layout`]). Restores hand it the checkpoint's
+    /// words, so they never build a throwaway table.
+    fn with_bits(cfg: ApbfConfig, layout: Layout, bits: BitVec) -> Self {
+        let g = cfg.generation_len();
+        Self {
+            bits,
             layout,
             family: DoubleHashFamily::new(cfg.seed),
             base: 0,
             in_gen: 0,
             g,
             wipe: None,
-            wipe_quota: units.div_ceil(g),
+            wipe_quota: layout.units_per_slice().div_ceil(g),
             ops: OpCounters::new(),
             bufs: BatchBufs::default(),
             scans: Cell::new(0),
             cfg,
-        })
+        }
     }
 
     /// The configuration.
@@ -349,22 +365,18 @@ impl Apbf {
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
     pub(crate) fn from_checkpoint_parts(cfg: ApbfConfig, state: ApbfState) -> Option<Self> {
-        let mut d = Self::new(cfg).ok()?;
+        let (layout, len) = Self::checked_layout(&cfg).ok()?;
         let s = cfg.physical_slices();
-        let units = match d.layout {
-            Layout::Scattered { slice_words } => slice_words,
-            Layout::Blocked { lines, .. } => lines,
-        };
-        if state.base >= s || state.in_gen >= d.g {
+        if state.base >= s || state.in_gen >= cfg.generation_len() {
             return None;
         }
         if let Some((slice, cursor)) = state.wipe {
-            if slice >= s || cursor >= units {
+            if slice >= s || cursor >= layout.units_per_slice() {
                 return None;
             }
         }
-        let len = d.bits.len();
-        d.bits = BitVec::from_words(state.bit_words, len)?;
+        let bits = BitVec::from_words(state.bit_words, len)?;
+        let mut d = Self::with_bits(cfg, layout, bits);
         d.base = state.base;
         d.in_gen = state.in_gen;
         d.wipe = state.wipe;
@@ -684,12 +696,8 @@ impl DetectorStats for Apbf {
 
     /// Progress of the spare-slice wipe (`1.0` when no wipe pending).
     fn sweep_position(&self) -> f64 {
-        let units = match self.layout {
-            Layout::Scattered { slice_words } => slice_words,
-            Layout::Blocked { lines, .. } => lines,
-        };
         match self.wipe {
-            Some((_, cursor)) => cursor as f64 / units.max(1) as f64,
+            Some((_, cursor)) => cursor as f64 / self.layout.units_per_slice().max(1) as f64,
             None => 1.0,
         }
     }

@@ -253,23 +253,42 @@ impl Swbf {
     /// budget too small, or blocked probing unsupported for the cell
     /// width.
     pub fn new(cfg: SwbfConfig) -> Result<Self, ConfigError> {
+        let geo = Self::checked_geometry(&cfg)?;
+        let cells = PackedIntVec::new_all_ones(cfg.cells(), cfg.cell_bits());
+        let side = PackedIntVec::new_all_ones(cfg.side_cells(), cfg.ts_bits());
+        Ok(Self::with_tables(cfg, geo, cells, side))
+    }
+
+    /// Validates `cfg` and returns its block geometry (`None` when
+    /// scattered).
+    fn checked_geometry(cfg: &SwbfConfig) -> Result<Option<BlockGeometry>, ConfigError> {
         cfg.validate()?;
-        let m = cfg.cells();
-        let cell_bits = cfg.cell_bits();
-        let geo = match cfg.probe {
-            ProbeLayout::Scattered => None,
-            ProbeLayout::Blocked => Some(BlockGeometry::for_line(m, cell_bits as usize).ok_or(
+        let (m, cell_bits) = (cfg.cells(), cfg.cell_bits() as usize);
+        match cfg.probe {
+            ProbeLayout::Scattered => Ok(None),
+            ProbeLayout::Blocked => BlockGeometry::for_line(m, cell_bits).map(Some).ok_or(
                 ConfigError::BlockedUnsupported {
-                    slot_bits: cell_bits as usize,
+                    slot_bits: cell_bits,
                     m,
                 },
-            )?),
-        };
+            ),
+        }
+    }
+
+    /// A fresh detector built around `cells` and `side`
+    /// (tables of the configured shapes; `cfg` already passed
+    /// [`Self::checked_geometry`]). Restores hand it the checkpoint's
+    /// words, so they never build throwaway all-empty tables.
+    fn with_tables(
+        cfg: SwbfConfig,
+        geo: Option<BlockGeometry>,
+        cells: PackedIntVec,
+        side: PackedIntVec,
+    ) -> Self {
+        let m = cfg.cells();
         let b_eff = backend::effective_k(B_CANDIDATES, geo.as_ref());
-        let cells = PackedIntVec::new_all_ones(m, cell_bits);
-        let side = PackedIntVec::new_all_ones(cfg.side_cells(), cfg.ts_bits());
         let ts_bits = cfg.ts_bits();
-        Ok(Self {
+        Self {
             empty_cell: cells.max_value(),
             side_empty: side.max_value(),
             wrap: WrapCounter::new(cfg.range()),
@@ -292,7 +311,7 @@ impl Swbf {
             cells,
             side,
             cfg,
-        })
+        }
     }
 
     /// The configuration.
@@ -383,7 +402,7 @@ impl Swbf {
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
     pub(crate) fn from_checkpoint_parts(cfg: SwbfConfig, state: SwbfState) -> Option<Self> {
-        let mut d = Self::new(cfg).ok()?;
+        let geo = Self::checked_geometry(&cfg).ok()?;
         if state.clean_next >= cfg.cells() || state.side_clean_next >= cfg.side_cells() {
             return None;
         }
@@ -392,9 +411,11 @@ impl Swbf {
                 return None;
             }
         }
-        d.wrap = WrapCounter::from_parts(cfg.range(), state.now)?;
-        d.cells = PackedIntVec::from_words(state.cell_words, cfg.cells(), cfg.cell_bits())?;
-        d.side = PackedIntVec::from_words(state.side_words, cfg.side_cells(), cfg.ts_bits())?;
+        let wrap = WrapCounter::from_parts(cfg.range(), state.now)?;
+        let cells = PackedIntVec::from_words(state.cell_words, cfg.cells(), cfg.cell_bits())?;
+        let side = PackedIntVec::from_words(state.side_words, cfg.side_cells(), cfg.ts_bits())?;
+        let mut d = Self::with_tables(cfg, geo, cells, side);
+        d.wrap = wrap;
         d.arrivals = state.arrivals;
         d.last_side_insert = state.last_side_insert;
         d.clean_next = state.clean_next;

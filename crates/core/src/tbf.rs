@@ -78,6 +78,14 @@ impl Tbf {
     /// Returns [`ConfigError`] if the configuration is internally
     /// inconsistent (normally impossible after `TbfConfig::build`).
     pub fn new(cfg: TbfConfig) -> Result<Self, ConfigError> {
+        let geo = Self::checked_geometry(&cfg)?;
+        let entries = PackedIntVec::new_all_ones(cfg.m, cfg.entry_bits());
+        Ok(Self::with_entries(cfg, geo, entries))
+    }
+
+    /// Validates `cfg` and returns its block geometry (`None` when
+    /// scattered).
+    fn checked_geometry(cfg: &TbfConfig) -> Result<Option<BlockGeometry>, ConfigError> {
         if cfg.n < 2 {
             return Err(ConfigError::WindowTooSmall(cfg.n));
         }
@@ -87,19 +95,27 @@ impl Tbf {
         if !(1..=64).contains(&cfg.k) {
             return Err(ConfigError::BadHashCount(cfg.k));
         }
-        let geo = match cfg.probe {
-            crate::config::ProbeLayout::Scattered => None,
-            crate::config::ProbeLayout::Blocked => Some(cfg.block_geometry().ok_or(
-                ConfigError::BlockedUnsupported {
-                    slot_bits: cfg.entry_bits() as usize,
-                    m: cfg.m,
-                },
-            )?),
-        };
+        match cfg.probe {
+            crate::config::ProbeLayout::Scattered => Ok(None),
+            crate::config::ProbeLayout::Blocked => {
+                cfg.block_geometry()
+                    .map(Some)
+                    .ok_or(ConfigError::BlockedUnsupported {
+                        slot_bits: cfg.entry_bits() as usize,
+                        m: cfg.m,
+                    })
+            }
+        }
+    }
+
+    /// A fresh detector built around `entries` (a table of the
+    /// configured shape; `cfg` already passed [`Self::checked_geometry`]).
+    /// Restores hand it the checkpoint's words, so they never build a
+    /// throwaway all-empty table.
+    fn with_entries(cfg: TbfConfig, geo: Option<BlockGeometry>, entries: PackedIntVec) -> Self {
         let k_eff = backend::effective_k(cfg.k, geo.as_ref());
-        let entries = PackedIntVec::new_all_ones(cfg.m, cfg.entry_bits());
         let empty = entries.max_value();
-        Ok(Self {
+        Self {
             wrap: WrapCounter::new(cfg.range()),
             family: DoubleHashFamily::new(cfg.seed),
             clean_next: 0,
@@ -112,7 +128,7 @@ impl Tbf {
             scans: Cell::new(0),
             entries,
             cfg,
-        })
+        }
     }
 
     /// Probes issued per element: `k` in scattered mode, `min(k,
@@ -195,10 +211,12 @@ impl Tbf {
         if entry_words.len() != expected_words || clean_next >= cfg.m {
             return None;
         }
-        let mut d = Self::new(cfg).ok()?;
-        d.wrap = cfd_windows::WrapCounter::from_parts(cfg.range(), now)?;
+        let geo = Self::checked_geometry(&cfg).ok()?;
+        let wrap = cfd_windows::WrapCounter::from_parts(cfg.range(), now)?;
+        let entries = PackedIntVec::from_words(entry_words, cfg.m, cfg.entry_bits())?;
+        let mut d = Self::with_entries(cfg, geo, entries);
+        d.wrap = wrap;
         d.clean_next = clean_next;
-        d.entries = cfd_bits::PackedIntVec::from_words(entry_words, cfg.m, cfg.entry_bits())?;
         Some(d)
     }
 

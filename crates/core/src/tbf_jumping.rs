@@ -188,20 +188,40 @@ impl JumpingTbf {
     ///
     /// Returns [`ConfigError`] if the configuration is inconsistent.
     pub fn new(cfg: JumpingTbfConfig) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        let geo = match cfg.probe {
-            ProbeLayout::Scattered => None,
-            ProbeLayout::Blocked => Some(cfg.block_geometry().ok_or(
-                ConfigError::BlockedUnsupported {
-                    slot_bits: cfg.entry_bits() as usize,
-                    m: cfg.m,
-                },
-            )?),
-        };
-        let k_eff = backend::effective_k(cfg.k, geo.as_ref());
+        let geo = Self::checked_geometry(&cfg)?;
         let entries = PackedIntVec::new_all_ones(cfg.m, cfg.entry_bits());
+        Ok(Self::with_entries(cfg, geo, entries))
+    }
+
+    /// Validates `cfg` and returns its block geometry (`None` when
+    /// scattered).
+    fn checked_geometry(cfg: &JumpingTbfConfig) -> Result<Option<BlockGeometry>, ConfigError> {
+        cfg.validate()?;
+        match cfg.probe {
+            ProbeLayout::Scattered => Ok(None),
+            ProbeLayout::Blocked => {
+                cfg.block_geometry()
+                    .map(Some)
+                    .ok_or(ConfigError::BlockedUnsupported {
+                        slot_bits: cfg.entry_bits() as usize,
+                        m: cfg.m,
+                    })
+            }
+        }
+    }
+
+    /// A fresh detector built around `entries` (a table
+    /// of the configured shape; `cfg` already passed
+    /// [`Self::checked_geometry`]). Restores hand it the checkpoint's
+    /// words, so they never build a throwaway all-empty table.
+    fn with_entries(
+        cfg: JumpingTbfConfig,
+        geo: Option<BlockGeometry>,
+        entries: PackedIntVec,
+    ) -> Self {
+        let k_eff = backend::effective_k(cfg.k, geo.as_ref());
         let empty = entries.max_value();
-        Ok(Self {
+        Self {
             clock: JumpingClock::new(cfg.q, cfg.n.div_ceil(cfg.q)),
             sub: WrapCounter::new(cfg.range()),
             family: DoubleHashFamily::new(cfg.seed),
@@ -215,7 +235,7 @@ impl JumpingTbf {
             scans: Cell::new(0),
             entries,
             cfg,
-        })
+        }
     }
 
     /// Probes issued per element: `k` in scattered mode, `min(k,
@@ -263,17 +283,20 @@ impl JumpingTbf {
         if state.entry_words.len() != expected_words || state.clean_next >= cfg.m {
             return None;
         }
-        let mut d = Self::new(cfg).ok()?;
-        d.sub = WrapCounter::from_parts(cfg.range(), state.sub_now)?;
-        d.clock = JumpingClock::from_parts(
+        let geo = Self::checked_geometry(&cfg).ok()?;
+        let sub = WrapCounter::from_parts(cfg.range(), state.sub_now)?;
+        let clock = JumpingClock::from_parts(
             cfg.q,
             cfg.n.div_ceil(cfg.q),
             state.slot,
             state.filled,
             state.completed_subwindows,
         )?;
+        let entries = PackedIntVec::from_words(state.entry_words, cfg.m, cfg.entry_bits())?;
+        let mut d = Self::with_entries(cfg, geo, entries);
+        d.sub = sub;
+        d.clock = clock;
         d.clean_next = state.clean_next;
-        d.entries = cfd_bits::PackedIntVec::from_words(state.entry_words, cfg.m, cfg.entry_bits())?;
         Some(d)
     }
 

@@ -13,7 +13,25 @@
 //! units are replayed one unit at a time, each evaluated at its own
 //! virtual "now" — byte-for-byte the schedule an on-time daemon would
 //! have produced. A gap of `R` or more units simply clears the table
-//! (everything is expired by then), bounding the replay cost.
+//! (everything is expired by then) with a word-level fill, so a long
+//! quiet gap costs one memset instead of a replay.
+//!
+//! # Expiry cost
+//!
+//! Stamps wrap modulo `R + C`. An entry stamped at unit `u` is expired
+//! from unit `u + R` on and must be erased before its stamp aliases at
+//! `u + R + C`; sweeping `⌈m / C⌉` entries per unit visits every entry
+//! once per `C` units, inside that band, whatever `C` is. A larger `C`
+//! therefore only shrinks the per-unit sweep, and the default fills the
+//! entry width: `C = (2^b − 1) − R` with `b` the width `C = R` would
+//! need (`b = ⌈log2(2R + 1)⌉`), so memory is that of `C = R` while `C`
+//! lands between `R` and `3R` and the per-unit sweep shrinks by `R / C`
+//! (R = 32: 7-bit entries, `C = 95`, a third of the `C = R` sweep).
+//! Verdicts do not depend on `C`: a probe only ever sees active stamps.
+//! On the wide dispatch the sweep also passes over entries lying in
+//! all-ones (empty) words without decoding them (see
+//! [`PackedIntVec::expire_timestamps`]), so at low occupancy its cost
+//! is a scan of words, not a decode of entries.
 //!
 //! # Hot path
 //!
@@ -42,7 +60,7 @@
 use crate::backend::{self, BatchBufs, ProbeCore, TimedCore};
 use crate::config::{ConfigError, ProbeLayout};
 use crate::ops::OpCounters;
-use cfd_bits::words::bits_for_value;
+use cfd_bits::words::{bits_for_value, low_mask};
 use cfd_bits::PackedIntVec;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
@@ -71,7 +89,8 @@ pub struct TimeTbfConfig {
     pub m: usize,
     /// Hash functions per element (`k`).
     pub k: usize,
-    /// Unit-range extension (`C` in units; default `R`).
+    /// Unit-range extension (`C` in units). [`TimeTbfConfig::new`]
+    /// picks the largest `C` that keeps the entry width of `C = R`.
     pub c_units: u64,
     /// Hash seed.
     pub seed: u64,
@@ -80,13 +99,16 @@ pub struct TimeTbfConfig {
 }
 
 impl TimeTbfConfig {
-    /// Creates a validated configuration with the default `C = R` and
-    /// scattered probing.
+    /// Creates a validated configuration with scattered probing and the
+    /// stamp-filling default `C = (2^b − 1) − R`, where `b =
+    /// ⌈log2(2R + 1)⌉` is the entry width `C = R` would need: the same
+    /// memory as `C = R`, with the stamp range `R + C = 2^b − 1` using
+    /// every non-empty pattern of the entry (module docs).
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] on zero dimensions, bad `k`, or window
-    /// parameters whose products/sums overflow `u64`.
+    /// parameters whose products/sums overflow `u64` (including `2R`).
     pub fn new(
         window_units: u64,
         unit_ticks: u64,
@@ -94,12 +116,17 @@ impl TimeTbfConfig {
         k: usize,
         seed: u64,
     ) -> Result<Self, ConfigError> {
+        let bits = window_units.checked_mul(2).map(bits_for_value).ok_or(
+            ConfigError::ArithmeticOverflow {
+                what: "unit range R + C",
+            },
+        )?;
         let cfg = Self {
             window_units,
             unit_ticks,
             m,
             k,
-            c_units: window_units,
+            c_units: low_mask(bits) - window_units,
             seed,
             probe: ProbeLayout::Scattered,
         };
@@ -238,20 +265,36 @@ impl TimeTbf {
     ///
     /// Returns [`ConfigError`] if the configuration is inconsistent.
     pub fn new(cfg: TimeTbfConfig) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        let geo = match cfg.probe {
-            ProbeLayout::Scattered => None,
-            ProbeLayout::Blocked => Some(cfg.block_geometry().ok_or(
-                ConfigError::BlockedUnsupported {
-                    slot_bits: cfg.entry_bits() as usize,
-                    m: cfg.m,
-                },
-            )?),
-        };
-        let k_eff = backend::effective_k(cfg.k, geo.as_ref());
+        let geo = Self::checked_geometry(&cfg)?;
         let entries = PackedIntVec::new_all_ones(cfg.m, cfg.entry_bits());
+        Ok(Self::with_entries(cfg, geo, entries))
+    }
+
+    /// Validates `cfg` and returns its block geometry (`None` when
+    /// scattered).
+    fn checked_geometry(cfg: &TimeTbfConfig) -> Result<Option<BlockGeometry>, ConfigError> {
+        cfg.validate()?;
+        match cfg.probe {
+            ProbeLayout::Scattered => Ok(None),
+            ProbeLayout::Blocked => {
+                cfg.block_geometry()
+                    .map(Some)
+                    .ok_or(ConfigError::BlockedUnsupported {
+                        slot_bits: cfg.entry_bits() as usize,
+                        m: cfg.m,
+                    })
+            }
+        }
+    }
+
+    /// A fresh detector (no unit seen yet) built around `entries` (a table
+    /// of the configured shape; `cfg` already passed
+    /// [`Self::checked_geometry`]). Restores hand it the checkpoint's
+    /// words, so they never build a throwaway all-empty table.
+    fn with_entries(cfg: TimeTbfConfig, geo: Option<BlockGeometry>, entries: PackedIntVec) -> Self {
+        let k_eff = backend::effective_k(cfg.k, geo.as_ref());
         let empty = entries.max_value();
-        Ok(Self {
+        Self {
             units: UnitClock::new(cfg.unit_ticks),
             family: DoubleHashFamily::new(cfg.seed),
             cur_unit: None,
@@ -265,7 +308,7 @@ impl TimeTbf {
             scans: Cell::new(0),
             entries,
             cfg,
-        })
+        }
     }
 
     /// The configuration.
@@ -326,10 +369,11 @@ impl TimeTbf {
         if state.entry_words.len() != expected_words || state.clean_next >= cfg.m {
             return None;
         }
-        let mut d = Self::new(cfg).ok()?;
+        let geo = Self::checked_geometry(&cfg).ok()?;
+        let entries = PackedIntVec::from_words(state.entry_words, cfg.m, cfg.entry_bits())?;
+        let mut d = Self::with_entries(cfg, geo, entries);
         d.cur_unit = state.cur_unit;
         d.clean_next = state.clean_next;
-        d.entries = PackedIntVec::from_words(state.entry_words, cfg.m, cfg.entry_bits())?;
         Some(d)
     }
 
@@ -749,8 +793,8 @@ mod tests {
 
     #[test]
     fn aliasing_controlled_across_many_wraparounds() {
-        // Range = 2R = 32 units; run thousands of units with a distinct
-        // stream and verify the FP rate stays small.
+        // Range = R + C = 63 units (6-bit entries); run thousands of
+        // units with a distinct stream and verify the FP rate stays small.
         let mut d = ttbf(16, 1, 1 << 13, 6);
         let mut fps = 0u64;
         let total = 50_000u64;
@@ -783,17 +827,32 @@ mod tests {
     #[test]
     fn entry_bits_follow_unit_range() {
         let cfg = TimeTbfConfig::new(60, 1000, 100, 4, 0).unwrap();
-        // range = 120 -> 7 bits.
+        // 2R = 120 needs 7 bits; the default C fills them: range = 127.
         assert_eq!(cfg.entry_bits(), 7);
-        assert_eq!(cfg.clean_chunk(), 2); // ceil(100/60)
+        assert_eq!(cfg.c_units, 67);
+        assert_eq!(cfg.range(), 127);
+        assert_eq!(cfg.clean_chunk(), 2); // ceil(100/67)
+                                          // The default costs no memory over C = R.
+        let c_eq_r = TimeTbfConfig { c_units: 60, ..cfg };
+        assert_eq!(c_eq_r.range(), 120);
+        assert_eq!(c_eq_r.entry_bits(), cfg.entry_bits());
+        // Every width: C >= R, R + C = 2^b - 1 with b the width of 2R.
+        for r in [1u64, 2, 3, 31, 32, 33, 64, 1 << 40, (1 << 62) + 1] {
+            let cfg = TimeTbfConfig::new(r, 1, 64, 4, 0).unwrap();
+            assert!(cfg.c_units >= r, "r={r}");
+            assert_eq!(cfg.entry_bits(), bits_for_value(2 * r), "r={r}");
+            assert_eq!(cfg.range(), low_mask(cfg.entry_bits()), "r={r}");
+        }
     }
 
     #[test]
     fn config_rejects_overflowing_windows() {
-        // R + C = 2 * u64::MAX overflows.
+        // 2R overflows, so no C keeps the entry width of C = R.
         let err = TimeTbfConfig::new(u64::MAX, 1, 100, 4, 0).unwrap_err();
         assert!(matches!(err, ConfigError::ArithmeticOverflow { .. }));
         assert!(err.to_string().contains("overflow"));
+        let err = TimeTbfConfig::new(1 << 63, 1, 100, 4, 0).unwrap_err();
+        assert!(matches!(err, ConfigError::ArithmeticOverflow { .. }));
         // R * unit_ticks overflows even though R + C does not.
         let err = TimeTbfConfig::new(1 << 33, 1 << 33, 100, 4, 0).unwrap_err();
         assert!(matches!(err, ConfigError::ArithmeticOverflow { .. }));
@@ -883,7 +942,7 @@ mod tests {
     #[test]
     fn blocked_mode_matches_oracle_and_caps_k() {
         let mut d = blocked_ttbf(16, 10, 1 << 14, 10);
-        // range = 32 -> 6-bit entries -> 64 slots per line (pow2 floor),
+        // range = 63 -> 6-bit entries -> 64 slots per line (pow2 floor),
         // k capped at slots/2 when smaller than k.
         assert!(d.effective_hash_count() <= 10);
         let mut oracle = ExactTimeSlidingDedup::new(16, 10);

@@ -58,6 +58,45 @@ fn jittery_stream(len: u64, period: u64, unit_ticks: u64, salt: u64) -> Vec<(Vec
     clicks
 }
 
+/// A stream whose gaps span the whole expiry schedule: same-unit
+/// bursts, one-unit steps, gaps just under and over the window (replayed
+/// sweeps vs a whole-table clear) and very long quiet spells, with
+/// occasional regressions that the detector clamps.
+fn gappy_stream(
+    len: u64,
+    period: u64,
+    unit_ticks: u64,
+    window_units: u64,
+    salt: u64,
+) -> Vec<(Vec<u8>, u64)> {
+    let mut tick = 0u64;
+    (0..len)
+        .map(|i| {
+            let h = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            // Mostly small steps, so long runs of per-unit sweeps (and
+            // many stamp-range wraparounds) pass between whole-table
+            // clears; gaps at and past the window are rare.
+            let units = match h % 256 {
+                0..=119 => 0,
+                120..=219 => 1,
+                220..=245 => 2 + h % window_units.div_ceil(2),
+                246..=249 => window_units - 1,
+                250 | 251 => window_units,
+                252 | 253 => window_units + 1 + h % (3 * window_units),
+                254 => 50 * window_units,
+                _ => h % window_units,
+            };
+            tick += units * unit_ticks + h % unit_ticks;
+            let t = if h.is_multiple_of(23) {
+                tick.saturating_sub(2 * unit_ticks)
+            } else {
+                tick
+            };
+            ((i % period).to_le_bytes().to_vec(), t)
+        })
+        .collect()
+}
+
 /// Self-consistent time-sliding false negatives: `valid` maps a key to
 /// the unit the detector last validated it in; the entry expires when
 /// the current unit is `window_units` or more past it.
@@ -187,6 +226,37 @@ proptest! {
         prop_assert_eq!(batched.ops(), sequential.ops());
     }
 
+    /// The stamp-range extension `C` is a cost knob, not a semantic one:
+    /// the default (stamp-filling) `C` and `C = R` give identical
+    /// verdicts and clock-regression counts on gappy, regressed streams,
+    /// in both layouts. The two share the hash family, so any difference
+    /// would be an aliased or early-erased stamp.
+    #[test]
+    fn time_tbf_default_c_matches_c_equal_to_r(
+        seed in 0u64..1000,
+        period in 3u64..400,
+        window_units in 2u64..40,
+        unit_ticks in 1u64..16,
+        salt in 0u64..1000,
+        blocked in any::<bool>(),
+    ) {
+        let probe = if blocked { ProbeLayout::Blocked } else { ProbeLayout::Scattered };
+        let mut filled = time_tbf(window_units, unit_ticks, seed, probe);
+        let cfg = TimeTbfConfig { c_units: window_units, ..filled.config() };
+        prop_assert!(filled.config().c_units >= window_units);
+        prop_assert_eq!(cfg.entry_bits(), filled.config().entry_bits());
+        let mut c_eq_r = TimeTbf::new(cfg).expect("C = R is valid");
+        let clicks = gappy_stream(3_000, period, unit_ticks, window_units, salt);
+        for (i, (key, tick)) in clicks.iter().enumerate() {
+            prop_assert_eq!(
+                filled.observe_at(key, *tick),
+                c_eq_r.observe_at(key, *tick),
+                "click {} at tick {}", i, tick
+            );
+        }
+        prop_assert_eq!(filled.ops().clock_regressions, c_eq_r.ops().clock_regressions);
+    }
+
     /// Same for TimeGbf.
     #[test]
     fn time_gbf_batch_equals_sequential_any_chunking(
@@ -243,4 +313,32 @@ proptest! {
         flattened.observe_flat_at_into(&flat, 8, &ticks, &mut got);
         prop_assert_eq!(&got, &want);
     }
+}
+
+/// A checkpoint carries its own `C`: one written with `c_units = R`
+/// restores with `C = R` (not today's default) and resumes exactly.
+#[test]
+fn checkpoint_with_c_equal_to_r_restores_its_own_c() {
+    let base = TimeTbfConfig::new(32, 5, 1 << 12, 6, 3).expect("valid config");
+    let cfg = TimeTbfConfig {
+        c_units: 32,
+        ..base
+    };
+    assert_ne!(base.c_units, cfg.c_units);
+    let mut original = TimeTbf::new(cfg).expect("C = R is valid");
+    let clicks = gappy_stream(4_000, 300, 5, 32, 7);
+    let (head, tail) = clicks.split_at(1_500);
+    for (key, tick) in head {
+        original.observe_at(key, *tick);
+    }
+    let mut restored = TimeTbf::restore(&original.checkpoint()).expect("restores");
+    assert_eq!(restored.config(), cfg);
+    assert_eq!(restored.config().clean_chunk(), (1 << 12) / 32);
+    for (key, tick) in tail {
+        assert_eq!(
+            restored.observe_at(key, *tick),
+            original.observe_at(key, *tick)
+        );
+    }
+    assert_eq!(restored.checkpoint(), original.checkpoint());
 }
